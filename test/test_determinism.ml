@@ -210,6 +210,93 @@ let prop_sharding_preserves_results =
       dg_u = dg_s && wire_u = wire_s && ctr_u = ctr_s)
 
 (* ------------------------------------------------------------------ *)
+(* Per-node sharded Assise family                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The Assise baselines partitioned per node: each variant has its own
+   cross-node paths (busy-polled chain forwarding and routed acks for
+   Pessimistic/Bg_repl, the NIC-chained hop relay for Hyperloop), so
+   each gets its own pinned fingerprint.  [domains] runs the cell on a
+   three-shard runner at that domain count; without it the same
+   workload runs on one engine. *)
+let run_assise_cell ?domains variant ~file_kib ~io_kib =
+  Counters.reset ();
+  let out = ref None in
+  let body sys () =
+    let ops = Baselines.Assise.ops (Baselines.Assise.add_client sys ~id:1) in
+    ignore
+      (Workloads.Microbench.seq_write ~ops ~path:"/cell"
+         ~file_bytes:(kib file_kib) ~io_bytes:(kib io_kib) ());
+    Baselines.Assise.flush_all sys;
+    Baselines.Assise.stop sys;
+    out :=
+      Some
+        ( Storage.Fs_state.digest (Baselines.Assise.primary_fs sys),
+          Baselines.Assise.replication_wire_bytes sys,
+          Engine.now () )
+  in
+  let events = ref 0 in
+  (match domains with
+  | Some domains ->
+      let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:3 () in
+      let sys =
+        Baselines.Assise.create ~params:test_params ~variant
+          ~sharding:(sh, 0) ~nodes:3 ()
+      in
+      Sharded.spawn_root sh ~shard:0 (body sys);
+      Sharded.run ~domains sh;
+      for i = 0 to 2 do
+        events := !events + Engine.events_executed (Sharded.engine sh i);
+        Counters.merge (Sharded.engine sh i)
+      done
+  | None ->
+      let eng = Engine.create () in
+      Engine.spawn_root eng (fun () ->
+          body
+            (Baselines.Assise.create ~params:test_params ~variant ~nodes:3 ())
+            ());
+      Engine.run eng;
+      events := Engine.events_executed eng;
+      Counters.merge eng);
+  match !out with
+  | None -> Alcotest.fail "assise cell did not finish"
+  | Some (dg, wire, clock) -> (dg, wire, clock, !events, Counters.all ())
+
+(* Regenerate by running this test and copying the reported values if a
+   change legitimately alters sharded Assise behaviour. *)
+let pinned_assise =
+  [
+    ( Baselines.Assise.Pessimistic,
+      "digest=b1f4f399 wire=1052220 clock=1689950 events=565 []" );
+    ( Baselines.Assise.Bg_repl,
+      "digest=b1f4f399 wire=1052220 clock=835660 events=600 []" );
+    ( Baselines.Assise.Hyperloop,
+      "digest=b1f4f399 wire=1052220 clock=1664805 events=484 []" );
+  ]
+
+let test_assise_sharded_pinned () =
+  List.iter
+    (fun (variant, expect) ->
+      let name = Baselines.Assise.variant_name variant in
+      let dg_u, wire_u, _, _, _ =
+        run_assise_cell variant ~file_kib:1024 ~io_kib:16
+      in
+      List.iter
+        (fun domains ->
+          let ((dg, wire, _, _, _) as r) =
+            run_assise_cell ~domains variant ~file_kib:1024 ~io_kib:16
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s sharded cell, domains=%d" name domains)
+            expect (cell_fingerprint r);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s digest/wire match unsharded" name)
+            true
+            (dg = dg_u && wire = wire_u))
+        [ 1; 2 ])
+    pinned_assise
+
+(* ------------------------------------------------------------------ *)
 (* Rack-scale: N nodes as replica groups, cohort clients               *)
 (* ------------------------------------------------------------------ *)
 
@@ -457,6 +544,8 @@ let () =
           tc "pinned sharded-cell fingerprint at domains 1/2/4" `Quick
             test_sharded_cell_pinned;
           qt prop_sharding_preserves_results;
+          tc "pinned sharded Assise/BgRepl/Hyperloop cells at domains 1/2"
+            `Quick test_assise_sharded_pinned;
         ] );
       ( "rack",
         [
