@@ -441,10 +441,16 @@ let run ?(domains = 1) ?deadline ?(keep_going = false) ?(grain = 96) t =
   (* Lazily created persistent worker pool.  A round is published as:
      runnable set + bounds (plain writes), then a generation bump under
      the mutex (broadcast wakes parked workers).  Workers pull shard
-     indices through the atomic claim counter and the last finisher —
-     tracked by the single atomic pending counter, the round summary —
-     signals the coordinator.  Windows below the [grain] work estimate
-     never touch any of this: the coordinator runs them inline. *)
+     indices through the atomic claim counter.  The single atomic
+     pending counter summarizes the round: one unit per runnable shard
+     plus one per pool worker, which a worker releases only when it
+     leaves the claim loop.  So the round ends when every shard has run
+     {e and} no worker can still draw a claim: a late-waking worker
+     holding a stale claim index could otherwise run a shard of the
+     next window while the coordinator runs it inline.  Whoever takes
+     the counter to zero signals the coordinator.  Windows below the
+     [grain] work estimate never touch any of this: the coordinator
+     runs them inline. *)
   let runnable = Array.make n 0 in
   let runnable_cnt = ref 0 in
   let claim = Atomic.make 0 in
@@ -454,6 +460,13 @@ let run ?(domains = 1) ?deadline ?(keep_going = false) ?(grain = 96) t =
   let gen = ref 0 in
   let quit = ref false in
   let pool : unit Domain.t array ref = ref [||] in
+  let release () =
+    if Atomic.fetch_and_add pending (-1) = 1 then begin
+      Mutex.lock mu;
+      Condition.broadcast cv;
+      Mutex.unlock mu
+    end
+  in
   let worker () =
     let seen = ref 0 in
     let continue = ref true in
@@ -473,13 +486,10 @@ let run ?(domains = 1) ?deadline ?(keep_going = false) ?(grain = 96) t =
           if i >= !runnable_cnt then more := false
           else begin
             work runnable.(i);
-            if Atomic.fetch_and_add pending (-1) = 1 then begin
-              Mutex.lock mu;
-              Condition.broadcast cv;
-              Mutex.unlock mu
-            end
+            release ()
           end
-        done
+        done;
+        release ()
       end
     done
   in
@@ -491,7 +501,7 @@ let run ?(domains = 1) ?deadline ?(keep_going = false) ?(grain = 96) t =
     ensure_pool ();
     t.parallel_windows <- t.parallel_windows + 1;
     Atomic.set claim 0;
-    Atomic.set pending !runnable_cnt;
+    Atomic.set pending (!runnable_cnt + Array.length !pool);
     Mutex.lock mu;
     incr gen;
     Condition.broadcast cv;

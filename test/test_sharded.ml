@@ -331,6 +331,71 @@ let test_forced_parallel_pool () =
     ((Sharded.stats s).Sharded.parallel_windows > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Worker pool: a shard never runs on two domains at once              *)
+(* ------------------------------------------------------------------ *)
+
+(* Many shards with uneven work at the default grain, shaped so the
+   inline policy flips between pool rounds and inline windows.  Each
+   100 us cycle opens with a burst on every shard (one busy window that
+   lifts the policy's moving averages), then a few lockstep windows on
+   shards 0 and 1 only (pool rounds while the averages decay, with so
+   little work that the coordinator claims both shards before a worker
+   wakes), then one step on every shard (often inline, 24 runnable).
+   A pool worker that wakes late for a finished round draws a claim
+   index that is valid in that inline window; it must never get to run
+   the shard.  Every step asserts its shard is not already executing,
+   and the per-shard step times must match a single-domain run. *)
+let uneven_pool_run ~domains =
+  let shards = 24 in
+  let s = Sharded.create ~lookahead:(Time.us 1) ~shards () in
+  for i = 0 to shards - 1 do
+    Sharded.connect s ~src:i ~dst:((i + 1) mod shards);
+    Sharded.connect s ~src:((i + 1) mod shards) ~dst:i
+  done;
+  let running = Array.init shards (fun _ -> Atomic.make false) in
+  let trace = Array.make shards [] in
+  let step i work =
+    if Atomic.exchange running.(i) true then
+      failwith (Printf.sprintf "shard %d is already running" i);
+    let acc = ref 0 in
+    for k = 1 to work do
+      acc := !acc + Sys.opaque_identity k
+    done;
+    ignore (Sys.opaque_identity !acc);
+    trace.(i) <- Engine.now () :: trace.(i);
+    Atomic.set running.(i) false
+  in
+  let until t = Engine.sleep (t - Engine.now ()) in
+  for i = 0 to shards - 1 do
+    Sharded.spawn_root s ~shard:i (fun () ->
+        for c = 0 to 29 do
+          let t0 = Time.us (100 * c) in
+          until t0;
+          for _ = 1 to 4 + (c * 7 mod 12) do
+            step i 50;
+            Engine.sleep 0
+          done;
+          if i < 2 then
+            for k = 1 to 1 + (c mod 4) do
+              until (t0 + Time.us (10 + k));
+              step i 50
+            done;
+          until (t0 + Time.us 60);
+          step i 10_000
+        done)
+  done;
+  Sharded.run ~domains s;
+  Array.to_list trace
+
+let test_pool_never_shares_a_shard () =
+  let reference = uneven_pool_run ~domains:1 in
+  for _ = 1 to 10 do
+    Alcotest.(check bool)
+      "domains=2 matches domains=1" true
+      (uneven_pool_run ~domains:2 = reference)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Determinism property on a token ring                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -392,6 +457,8 @@ let () =
           tc "same-window burst coalesces in order" `Quick
             test_coalesced_batch_order;
           tc "grain 0 forces the worker pool" `Quick test_forced_parallel_pool;
+          tc "pool never runs one shard on two domains" `Quick
+            test_pool_never_shares_a_shard;
         ] );
       ( "errors",
         [
