@@ -69,9 +69,6 @@ and t = {
   mutable n_verb_stalls : int;
   mutable replenisher : bool;
   mutable wire : int; (* bytes the primary shipped *)
-  (* Per-node shard transport (reusing the NICFS record): set when the
-     deployment is partitioned one node per {!Sim.Sharded} shard. *)
-  mutable xp : Nicfs.xport option;
 }
 
 let bg_threads = 3
@@ -113,77 +110,34 @@ let busy_wait t rt f =
 let server rt =
   match rt.server with Some s -> s | None -> failwith "assise: not started"
 
-(* The shard transport for traffic between nodes [i] and [j], when the
-   two live on different shards ([None]: plain local path). *)
-let remote t i j =
-  match t.xp with
-  | None -> None
-  | Some xp ->
-      if
-        xp.Nicfs.xp_shard_of t.rts.(i).node.Hw.Node.id
-        <> xp.Nicfs.xp_shard_of t.rts.(j).node.Hw.Node.id
-      then Some xp
-      else None
-
-(* Forward a batch from node [hop] to node [hop+1].  Across shards the
-   transfer splits: the sender halves of the payload and notification
-   frame here (still busy-polled by the SharedFS variants), the landing
-   halves and the RPC enqueue on the successor's shard. *)
+(* Forward a batch from node [hop] to node [hop+1]: an RDMA WRITE into
+   the successor's PM log plus the notification its SharedFS serves. *)
 let forward t ~from_hop msg =
   let src = t.rts.(from_hop) and dst = t.rts.(from_hop + 1) in
-  match remote t from_hop (from_hop + 1) with
-  | Some xp ->
-      let dst_loc = Net.Loc.Host dst.node in
-      let send_half () =
-        Net.Rdma.send_src ~src:(Net.Loc.Host src.node) msg.rbytes;
-        Net.Rdma.send_src ~src:(Net.Loc.Host src.node) Net.Rpc.msg_bytes
-      in
-      (match t.var with
-      | Pessimistic | Bg_repl -> busy_wait t src send_half
-      | Hyperloop -> send_half ());
-      if from_hop = 0 then t.wire <- t.wire + msg.rbytes;
-      xp.Nicfs.xp_send ~src_node:src.node.Hw.Node.id
-        ~dst_node:dst.node.Hw.Node.id
-        ~delay:(Net.Rdma.flight ~dst:dst_loc) ~name:"assise.repl-ship"
-        (fun () ->
-          Net.Rdma.land_dst ~dst_medium:`Pm ~dst:dst_loc msg.rbytes;
-          Net.Rdma.land_dst ~dst:dst_loc Net.Rpc.msg_bytes;
-          Net.Rpc.deliver (server dst) { msg with hop = from_hop + 1 })
-  | None ->
-      let move () =
-        Net.Rdma.move ~dst_medium:`Pm
-          ~src:(Net.Loc.Host src.node)
-          ~dst:(Net.Loc.Host dst.node)
-          msg.rbytes
-      in
-      (match t.var with
-      | Pessimistic | Bg_repl ->
-          (* The sender's SharedFS posts the WRITE and polls completion. *)
-          busy_wait t src move
-      | Hyperloop ->
-          (* NIC-driven chained WRITE: no host CPU at either end. *)
-          move ());
-      if from_hop = 0 then t.wire <- t.wire + msg.rbytes;
-      Net.Rpc.post (server dst) ~from:(Net.Loc.Host src.node)
-        { msg with hop = from_hop + 1 }
-
-(* Acknowledge one replica's persistence of [msg].  The ack set and
-   completion ivar are primary-shard state: when this replica lives on
-   another shard, the decrement is routed home through the declared
-   edge (at edge lookahead — the unsharded model's ack is an implicit
-   hardware completion with no modeled frame, so no wire is charged). *)
-let ack_origin t ~hop msg =
-  let ack () =
-    decr msg.acks;
-    if !(msg.acks) <= 0 && not (Ivar.is_filled msg.done_) then
-      Ivar.fill msg.done_ ()
+  let sender_wait =
+    match t.var with
+    | Pessimistic | Bg_repl ->
+        (* The sender's SharedFS posts the WRITE and polls completion. *)
+        busy_wait t src
+    | Hyperloop ->
+        (* NIC-driven chained WRITE: no host CPU at either end. *)
+        fun f -> f ()
   in
-  match remote t hop 0 with
-  | Some xp ->
-      xp.Nicfs.xp_send ~src_node:t.rts.(hop).node.Hw.Node.id
-        ~dst_node:t.rts.(0).node.Hw.Node.id ~delay:0 ~name:"assise.repl-ack"
-        ack
-  | None -> ack ()
+  if from_hop = 0 then t.wire <- t.wire + msg.rbytes;
+  Net.Rpc.write_post ~from:(Net.Loc.Host src.node) ~dst:(Net.Loc.Host dst.node)
+    ~medium:`Pm ~sender_wait ~name:"assise.repl-ship" msg.rbytes
+    (fun () -> server dst)
+    { msg with hop = from_hop + 1 }
+
+(* Acknowledge one replica's persistence of [msg] on the primary, which
+   owns the ack set and completion ivar.  The ack is an implicit
+   hardware completion with no modelled frame: no wire is charged. *)
+let ack_origin t ~hop msg =
+  Net.Fabric.run_on ~from:t.rts.(hop).node ~name:"assise.repl-ack"
+    t.rts.(0).node (fun () ->
+      decr msg.acks;
+      if !(msg.acks) <= 0 && not (Ivar.is_filled msg.done_) then
+        Ivar.fill msg.done_ ())
 
 (* Replica-side handling of an incoming batch. The data is already
    persistent in this node's PM log (the sender's RDMA WRITE targeted
@@ -258,68 +212,29 @@ let replicate_batch t ~bytes =
            chain. Each hop's WRITE lands directly in the next PM log
            and triggers the pre-posted forward. *)
         take_verb t;
-        match t.xp with
-        | Some xp ->
-            (* Hop-by-hop relay: each hop pays its sender half on its
-               own shard and the landing closure continues the chain on
-               the successor's shard; the final hardware ack is routed
-               back to the primary, which blocks on the completion
-               ivar exactly as it blocked on the synchronous chain
-               walk in the single-engine model. *)
-            let completion = Ivar.create () in
-            let rec hop_ship hop =
-              let src = t.rts.(hop) and dst = t.rts.(hop + 1) in
-              let dst_loc = Net.Loc.Host dst.node in
-              Net.Rdma.send_src ~src:(Net.Loc.Host src.node) bytes;
-              if hop = 0 then t.wire <- t.wire + bytes;
-              xp.Nicfs.xp_send ~src_node:src.node.Hw.Node.id
-                ~dst_node:dst.node.Hw.Node.id
-                ~delay:(Net.Rdma.flight ~dst:dst_loc)
-                ~name:"hyperloop.ship" (fun () ->
-                  Net.Rdma.land_dst ~dst_medium:`Pm ~dst:dst_loc bytes;
-                  (* Replica SharedFS digests in the background. *)
-                  Engine.spawn ~name:"hyperloop.replica-digest" (fun () ->
-                      cpu t dst (Hw.Node.copy_work dst.node bytes);
-                      Hw.Pm.read dst.node.Hw.Node.pm bytes;
-                      Hw.Pm.write dst.node.Hw.Node.pm bytes);
-                  if hop + 1 < n_replicas then hop_ship (hop + 1)
-                  else begin
-                    (* Hardware ack back to the primary NIC. *)
-                    let prim_loc = Net.Loc.Host t.rts.(0).node in
-                    Net.Rdma.send_src ~src:(Net.Loc.Host dst.node) 64;
-                    xp.Nicfs.xp_send ~src_node:dst.node.Hw.Node.id
-                      ~dst_node:t.rts.(0).node.Hw.Node.id
-                      ~delay:(Net.Rdma.flight ~dst:prim_loc)
-                      ~name:"hyperloop.ack" (fun () ->
-                        Net.Rdma.land_dst ~dst:prim_loc 64;
-                        Ivar.fill completion ())
-                  end)
-            in
-            hop_ship 0;
-            Ivar.read completion;
-            (* Completion wake-up: one dispatch on the (primary) host. *)
-            cpu t t.rts.(0) (Time.us 5)
-        | None ->
-            for hop = 0 to n_replicas - 1 do
-              let src = t.rts.(hop) and dst = t.rts.(hop + 1) in
-              Net.Rdma.move ~dst_medium:`Pm
-                ~src:(Net.Loc.Host src.node)
-                ~dst:(Net.Loc.Host dst.node)
-                bytes;
-              if hop = 0 then t.wire <- t.wire + bytes;
+        let completion = Ivar.create () in
+        let rec hop_ship hop =
+          let src = t.rts.(hop) and dst = t.rts.(hop + 1) in
+          if hop = 0 then t.wire <- t.wire + bytes;
+          Net.Rdma.ship ~dst_medium:`Pm ~src:(Net.Loc.Host src.node)
+            ~dst:(Net.Loc.Host dst.node) ~name:"hyperloop.ship" bytes
+            (fun () ->
               (* Replica SharedFS digests in the background as usual. *)
               Engine.spawn ~name:"hyperloop.replica-digest" (fun () ->
                   cpu t dst (Hw.Node.copy_work dst.node bytes);
                   Hw.Pm.read dst.node.Hw.Node.pm bytes;
-                  Hw.Pm.write dst.node.Hw.Node.pm bytes)
-            done;
-            (* Hardware ack back to the primary NIC. *)
-            Net.Rdma.move
-              ~src:(Net.Loc.Host t.rts.(n_replicas).node)
-              ~dst:(Net.Loc.Host t.rts.(0).node)
-              64;
-            (* Completion wake-up: one dispatch on the (primary) host. *)
-            cpu t t.rts.(0) (Time.us 5))
+                  Hw.Pm.write dst.node.Hw.Node.pm bytes);
+              if hop + 1 < n_replicas then hop_ship (hop + 1)
+              else
+                (* Hardware ack back to the primary NIC. *)
+                Net.Rdma.ship ~src:(Net.Loc.Host dst.node)
+                  ~dst:(Net.Loc.Host t.rts.(0).node) ~name:"hyperloop.ack" 64
+                  (fun () -> Ivar.fill completion ()))
+        in
+        hop_ship 0;
+        Ivar.read completion;
+        (* Completion wake-up: one dispatch on the (primary) host. *)
+        cpu t t.rts.(0) (Time.us 5))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -464,7 +379,6 @@ let create ?(cfg = Hw.Config.testbed_25gbe) ?(params = Params.default)
       n_verb_stalls = 0;
       replenisher = false;
       wire = 0;
-      xp = None;
     }
   in
   let make_server i rt =
@@ -475,49 +389,18 @@ let create ?(cfg = Hw.Config.testbed_25gbe) ?(params = Params.default)
       ~handler:(fun msg -> handle_repl t rt msg)
       ()
   in
-  (match sharding with
-  | None ->
-      Array.iteri
-        (fun i rt -> if i > 0 then rt.server <- Some (make_server i rt))
-        rts;
-      if variant = Hyperloop then start_replenisher t
-  | Some (sh, base) ->
-      (* Per-node partitioning: node [i] lives on shard [base + i].
-         Server creation spawns workers, so it boots as a t = 0 root
-         process on the owning shard; the replenisher (primary-host
-         thread) boots on the primary's shard. *)
-      Array.iteri
-        (fun i rt ->
-          if i > 0 then
-            Sim.Sharded.spawn_root ~name:"assise.boot" sh ~shard:(base + i)
-              (fun () -> rt.server <- Some (make_server i rt)))
-        rts;
-      if variant = Hyperloop then
-        Sim.Sharded.spawn_root ~name:"assise.boot" sh ~shard:base (fun () ->
-            start_replenisher t);
-      for i = 0 to nodes - 1 do
-        ignore
-          (Sim.Engine.run_until (Sim.Sharded.engine sh (base + i)) ~bound:1
-            : Time.t option)
-      done;
-      (* Fabric-latency lookahead on every cross-node edge, as in
-         [Linefs.Deployment]. *)
-      for i = 0 to nodes - 1 do
-        for j = 0 to nodes - 1 do
-          if i <> j then
-            Sim.Sharded.connect ~lookahead:cfg.Hw.Config.net_latency sh
-              ~src:(base + i) ~dst:(base + j)
-        done
-      done;
-      t.xp <-
-        Some
-          {
-            Nicfs.xp_shard_of = (fun node_id -> base + node_id);
-            xp_send =
-              (fun ~src_node ~dst_node ~delay ~name fn ->
-                Sim.Sharded.send sh ~src:(base + src_node)
-                  ~dst:(base + dst_node) ~delay ~name fn);
-          });
+  Net.Fabric.place ?sharding topo.Hw.Topology.nodes;
+  Array.iteri
+    (fun i rt ->
+      if i > 0 then
+        rt.server <-
+          Some
+            (Net.Fabric.start ~name:"assise.boot" rt.node (fun () ->
+                 make_server i rt)))
+    rts;
+  if variant = Hyperloop then
+    Net.Fabric.start ~name:"assise.boot" rts.(0).node (fun () ->
+        start_replenisher t);
   t
 
 (* ------------------------------------------------------------------ *)

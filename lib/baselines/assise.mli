@@ -41,11 +41,11 @@ val create :
     work.
 
     [sharding:(sh, base)] partitions the chain per node across the
-    {!Sim.Sharded} runner: node [i] lives on shard [base + i], with
-    fabric-latency edges between all node pairs.  Chain forwarding
-    splits per hop, replication acks and the Hyperloop completion are
-    routed back to the primary's shard.  Call from outside any engine
-    and run the workload body and clients on shard [base]. *)
+    {!Sim.Sharded} runner: node [i] lives on shard [base + i] (see
+    {!Net.Fabric.place}), and chain forwarding, replication acks and
+    the Hyperloop hop chain route between shards.  Call from outside
+    any engine and run the workload body and clients on shard
+    [base]. *)
 
 val variant : t -> variant
 val node : t -> int -> Hw.Node.t

@@ -33,9 +33,9 @@ let send ~src ~dst n =
   (* Ingress is accounted but not serialized (see interface note). *)
   dst.received <- dst.received + n
 
-(* Receiver half of a split cross-shard transfer: account the bytes at
-   the destination port without the sender-side costs (already paid on
-   the sending shard by [Rdma.send_src]). *)
+(* Receiver half of a cross-shard transfer: account the bytes at the
+   destination port without the sender-side costs (already paid on the
+   sending shard). *)
 let deliver dst n = dst.received <- dst.received + n
 
 let latency t = t.lat

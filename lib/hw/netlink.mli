@@ -31,7 +31,7 @@ val send : src:port -> dst:port -> int -> unit
 val deliver : port -> int -> unit
 (** Account [n] received bytes at the port without sender-side costs:
     the landing half of a transfer whose egress/switch share was
-    already charged on another shard ({!Rdma.send_src}/[land_dst]). *)
+    already charged on another shard (a routed [Net] send). *)
 
 val latency : t -> Time.t
 val egress : port -> Bandwidth.t

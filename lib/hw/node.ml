@@ -7,6 +7,7 @@ type t = {
   dma : Dma.t;
   nic : Smartnic.t;
   port : Netlink.port;
+  mutable shard : (Sim.Sharded.t * int) option;
 }
 
 let create (cfg : Config.t) ~switch ~id =
@@ -22,6 +23,7 @@ let create (cfg : Config.t) ~switch ~id =
     dma = Dma.create ~setup:cfg.dma_setup ~bytes_per_sec:cfg.dma_bps ();
     nic = Smartnic.create cfg ~port;
     port;
+    shard = None;
   }
 
 let copy_work t n = Config.copy_work t.cfg n

@@ -13,6 +13,11 @@ type t = {
   dma : Dma.t;
   nic : Smartnic.t;
   port : Netlink.port;
+  mutable shard : (Sim.Sharded.t * int) option;
+      (** The {!Sim.Sharded} runner and shard index this node's host and
+          SmartNIC live on; [None] on a single engine.  Recorded once
+          by [Net.Fabric.place]; the fabric routes every cross-node
+          send by it. *)
 }
 
 val create : Config.t -> switch:Netlink.t -> id:int -> t

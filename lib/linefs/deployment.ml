@@ -15,7 +15,6 @@ type t = {
   dfs_prio : Hw.Cpu.prio;
   mutable cls : Libfs.t list;
   monitoring : bool;
-  sharding : (Sim.Sharded.t * int) option;
 }
 
 let create ?(cfg = Hw.Config.testbed_25gbe) ?(params = Params.default)
@@ -45,32 +44,14 @@ let create ?(cfg = Hw.Config.testbed_25gbe) ?(params = Params.default)
     in
     { node; fs; kworker; nicfs; dfs_host_cpu }
   in
+  (* With [sharding], node [i] (host + SmartNIC plane) is built — and
+     lives — on shard [base + i]. *)
+  Net.Fabric.place ?sharding topo.Hw.Topology.nodes;
   let rts =
-    match sharding with
-    | None -> Array.map build_rt topo.Hw.Topology.nodes
-    | Some (sh, base) ->
-        (* Per-node partitioning: node [i] (host + SmartNIC plane) is
-           built — and lives — on shard [base + i].  Construction needs
-           process context on the owning engine (RPC planes and kernel
-           workers spawn processes), so each node's constructor is a
-           root process at t = 0, booted sequentially here before the
-           parallel run starts. *)
-        let slots = Array.make nodes None in
-        Array.iteri
-          (fun i node ->
-            Sim.Sharded.spawn_root ~name:"deploy.boot" sh ~shard:(base + i)
-              (fun () -> slots.(i) <- Some (build_rt node)))
-          topo.Hw.Topology.nodes;
-        for i = 0 to nodes - 1 do
-          ignore
-            (Sim.Engine.run_until (Sim.Sharded.engine sh (base + i)) ~bound:1
-              : Sim.Time.t option)
-        done;
-        Array.map
-          (function
-            | Some rt -> rt
-            | None -> failwith "deployment: shard boot did not run")
-          slots
+    Array.map
+      (fun node ->
+        Net.Fabric.start ~name:"deploy.boot" node (fun () -> build_rt node))
+      topo.Hw.Topology.nodes
   in
   (* Wire the replication chain 0 -> 1 -> ... -> n-1, and tell each
      node exactly whose acks complete its chunks (everyone downstream)
@@ -85,47 +66,13 @@ let create ?(cfg = Hw.Config.testbed_25gbe) ?(params = Params.default)
       done;
       Nicfs.set_repl_targets rt.nicfs ~targets:!targets)
     rts;
-  (match sharding with
-  | None -> ()
-  | Some (sh, base) ->
-      (* Declare every cross-node edge with the fabric latency as its
-         lookahead: no component of a cross-node exchange (chunk ship,
-         ack, lease record, flush round trip) can land sooner than one
-         switch traversal, so windows stay as wide as the physics
-         allows.  The destination PCIe hop is part of each message's
-         flight delay, not the lookahead floor — NIC-terminated traffic
-         must still be deliverable at switch latency alone. *)
-      for i = 0 to nodes - 1 do
-        for j = 0 to nodes - 1 do
-          if i <> j then
-            Sim.Sharded.connect ~lookahead:cfg.Hw.Config.net_latency sh
-              ~src:(base + i) ~dst:(base + j)
-        done
-      done;
-      let xp =
-        {
-          Nicfs.xp_shard_of = (fun node_id -> base + node_id);
-          xp_send =
-            (fun ~src_node ~dst_node ~delay ~name fn ->
-              Sim.Sharded.send sh ~src:(base + src_node)
-                ~dst:(base + dst_node) ~delay ~name fn);
-        }
-      in
-      Array.iter (fun rt -> Nicfs.set_xport rt.nicfs xp) rts);
   if monitor then
-    match sharding with
-    | None -> Array.iter (fun rt -> Nicfs.start_monitor rt.nicfs) rts
-    | Some (sh, base) ->
-        (* The monitor is node-local but must be spawned from its own
-           shard's process context. *)
-        Array.iteri
-          (fun i rt ->
-            Sim.Sharded.spawn_root ~name:"deploy.monitor" sh
-              ~shard:(base + i)
-              (fun () -> Nicfs.start_monitor rt.nicfs))
-          rts
-  else ();
-  { prm = params; topo; rts; dfs_prio; cls = []; monitoring = monitor; sharding }
+    Array.iter
+      (fun rt ->
+        Net.Fabric.start ~name:"deploy.monitor" rt.node (fun () ->
+            Nicfs.start_monitor rt.nicfs))
+      rts;
+  { prm = params; topo; rts; dfs_prio; cls = []; monitoring = monitor }
 
 let params t = t.prm
 let node_count t = Array.length t.rts
@@ -179,21 +126,14 @@ let flush_all t =
     (fun c -> Nicfs.flush (primary t).nicfs ~client:(Libfs.id c))
     t.cls
 
+(* Called from the workload body on the primary's engine. *)
 let stop t =
   if t.monitoring then
-    match t.sharding with
-    | None -> Array.iter (fun rt -> Nicfs.stop_monitor rt.nicfs) t.rts
-    | Some (sh, base) ->
-        (* Called from the workload body on the primary's shard; remote
-           monitors are stopped through their shard's edge. *)
-        Array.iteri
-          (fun i rt ->
-            if i = 0 then Nicfs.stop_monitor rt.nicfs
-            else
-              Sim.Sharded.send sh ~src:base ~dst:(base + i)
-                ~name:"deploy.stop-monitor" (fun () ->
-                  Nicfs.stop_monitor rt.nicfs))
-          t.rts
+    Array.iter
+      (fun rt ->
+        Net.Fabric.run_on ~from:(primary t).node ~name:"deploy.stop-monitor"
+          rt.node (fun () -> Nicfs.stop_monitor rt.nicfs))
+      t.rts
 
 let replication_wire_bytes t = Nicfs.replicated_wire_bytes (primary t).nicfs
 

@@ -42,10 +42,9 @@ val create :
 
     [sharding:(sh, base)] partitions the deployment per node across the
     {!Sim.Sharded} runner [sh]: node [i] (host plus SmartNIC plane) is
-    built on — and thereafter owned by — shard [base + i], cross-node
-    edges are declared with the fabric latency as lookahead, and every
-    NICFS gets the shard transport routing chunk shipment, replication
-    acks and the lease-record relay through declared edges.  Call from
+    built on — and thereafter owned by — shard [base + i] (see
+    {!Net.Fabric.place}); the [Net] send primitives route every
+    cross-node message between shards from then on.  Call from
     {e outside} any engine (the constructor boots each shard's t = 0
     build itself, before [Sharded.run] starts), spawn the workload body
     and clients on shard [base] (the primary's), and keep fault

@@ -37,37 +37,14 @@ val node : t -> Hw.Node.t
 val lease_mgr : t -> Lease.t
 
 val set_next_hop : t -> t option -> unit
-(** Wire the replication chain successor ([None] for the last node). *)
+(** Wire the replication chain successor ([None] for the last node).
 
-(** {1 Per-node sharding}
-
-    A deployment partitioned across {!Sim.Sharded} shards (one node —
-    host plus SmartNIC plane — per shard) installs a transport that
-    routes the cross-node paths: chunk shipment to the chain successor,
-    replication acks back to the chunk's primary, and the lease-record
-    relay.  Each routed message pays its sender-side wire costs on the
-    source shard and runs a landing closure (receive accounting, PM/NIC
-    placement, RPC enqueue) on the destination node's shard, delayed by
-    the fabric flight time.  Node-local traffic and same-shard peers
-    keep the plain direct paths.  Fault-free runs only: the
-    retransmission, scrub and fallback machinery never routes. *)
-
-type xport = {
-  xp_shard_of : int -> int;  (** node id -> shard index *)
-  xp_send :
-    src_node:int ->
-    dst_node:int ->
-    delay:Time.t ->
-    name:string ->
-    (unit -> unit) ->
-    unit;
-      (** Schedule the closure on [dst_node]'s shard at least [delay]
-          after the source shard's current time (the runner floors it
-          at the edge lookahead). *)
-}
-
-val set_xport : t -> xport -> unit
-(** Install the shard transport (before any cross-node traffic). *)
+    Every cross-node path — chunk shipment to the successor,
+    replication acks back to the chunk's primary, the lease-record
+    relay, scrub re-fetches — goes through {!Net.Rpc.post},
+    {!Net.Rpc.write_post} or {!Net.Rdma.ship}.  On a deployment
+    partitioned one node per shard (see {!Net.Fabric}) those route
+    between shards; the daemon itself never looks at placement. *)
 
 val set_compression : t -> bool -> unit
 val compression_enabled : t -> bool

@@ -1,20 +1,31 @@
 open Hw
 
-let pm_charge medium (node : Node.t) ~write n =
-  match medium with
-  | `Dram -> ()
-  | `Pm -> if write then Pm.write node.pm n else Pm.read node.pm n
-
-let move ?(src_medium = `Dram) ?(dst_medium = `Dram) ~src ~dst n =
-  let src_node = Loc.node src and dst_node = Loc.node dst in
+(* The injection verdict for one transfer.  A reordered one-sided
+   transfer lands late: at this layer that is indistinguishable from
+   extra fabric latency, so [Delay] and [Reorder] are paid up front. *)
+let consult ~src ~dst n =
   let verdict = Inject.consult ~point:Inject.Rdma_move ~src ~dst ~bytes:n in
   (match verdict with
-  (* A reordered one-sided transfer lands late: at this layer that is
-     indistinguishable from extra fabric latency. *)
   | Inject.Delay d | Inject.Reorder d -> Sim.Engine.sleep d
   | Inject.Pass | Inject.Drop | Inject.Duplicate | Inject.Corrupt _ -> ());
+  verdict
+
+(* A dropped transfer was transmitted (sender-side costs paid, wire
+   occupied) but discarded before landing at the receiver.  Corrupt
+   payloads land — detection is the job of the end-to-end CRC trailer
+   checked by the message layer above. *)
+let lands = function
+  | Inject.Drop -> false
+  | Inject.Pass | Inject.Delay _ | Inject.Duplicate | Inject.Reorder _
+  | Inject.Corrupt _ ->
+      true
+
+let move ?(src_medium = `Dram) ?(dst_medium = `Dram) ~src ~dst n =
+  Wire.check_local "Rdma.move" ~src ~dst;
+  let src_node = Loc.node src and dst_node = Loc.node dst in
+  let verdict = consult ~src ~dst n in
   let transfer () =
-    pm_charge src_medium src_node ~write:false n;
+    Wire.pm_charge src_medium src_node ~write:false n;
     if Loc.same_node src dst then begin
       match (src, dst) with
       | Loc.Host _, Loc.Nic _ | Loc.Nic _, Loc.Host _ ->
@@ -36,53 +47,21 @@ let move ?(src_medium = `Dram) ?(dst_medium = `Dram) ~src ~dst n =
   (* A duplicated transfer occupies the wire twice; one-sided RDMA
      writes are idempotent, so the second landing is harmless. *)
   (match verdict with Inject.Duplicate -> transfer () | _ -> ());
-  (* A dropped transfer was transmitted (sender-side costs paid, wire
-     occupied) but discarded before landing at the receiver.  Corrupt
-     payloads land — detection is the job of the end-to-end CRC trailer
-     checked by the message layer above. *)
-  match verdict with
-  | Inject.Drop -> ()
-  | Inject.Pass | Inject.Delay _ | Inject.Duplicate | Inject.Reorder _
-  | Inject.Corrupt _ ->
-      pm_charge dst_medium dst_node ~write:true n
+  if lands verdict then Wire.pm_charge dst_medium dst_node ~write:true n
 
-(* ------------------------------------------------------------------ *)
-(* Split cross-node transfer for per-node sharded deployments.
-
-   When source and destination nodes live on different shards, one
-   [move] cannot run: it would sleep on the source engine and mutate
-   destination-side state (PM device time, port receive counter) owned
-   by another domain.  The sharded transport instead splits the move:
-
-     source shard:       [send_src]              (PM read, host PCIe
-                                                  hop, egress share)
-     cross-shard delay:  [flight ~dst]           (switch latency, plus
-                                                  the destination PCIe
-                                                  hop for host memory)
-     destination shard:  [land_dst]              (port accounting, PM
-                                                  write placement)
-
-   The three pieces charge exactly the costs [move] charges, in the
-   same order; only the shard executing each half differs.  Sharded
-   runs are fault-free (the injection hook is engine-local and per-node
-   partitioning is not offered under injection), so no verdict is
-   consulted here. *)
-
-let send_src ?(src_medium = `Dram) ~src n =
-  let src_node = Loc.node src in
-  pm_charge src_medium src_node ~write:false n;
-  if Loc.is_host src then Sim.Engine.sleep (Pcie.latency src_node.pcie);
-  Bandwidth.transfer (Netlink.egress src_node.port) n
-
-let flight ~dst =
-  let dst_node = Loc.node dst in
-  dst_node.Node.cfg.Config.net_latency
-  + if Loc.is_host dst then Pcie.latency dst_node.pcie else 0
-
-let land_dst ?(dst_medium = `Dram) ~dst n =
-  let dst_node = Loc.node dst in
-  Netlink.deliver dst_node.port n;
-  pm_charge dst_medium dst_node ~write:true n
+let ship ?(dst_medium = `Dram) ~src ~dst ~name n k =
+  match Wire.route ~src ~dst with
+  | None ->
+      move ~dst_medium ~src ~dst n;
+      k ()
+  | Some r ->
+      let verdict = consult ~src ~dst n in
+      Wire.send_src ~src n;
+      (match verdict with Inject.Duplicate -> Wire.send_src ~src n | _ -> ());
+      let dst_medium = if lands verdict then dst_medium else `Dram in
+      Wire.send r ~delay:(Wire.flight ~dst) ~name (fun () ->
+          Wire.land_dst ~dst_medium ~dst n;
+          k ())
 
 let move_time_estimate ~src ~dst n =
   let src_node = Loc.node src and dst_node = Loc.node dst in
@@ -97,7 +76,6 @@ let move_time_estimate ~src ~dst n =
       (if Loc.is_host src then Pcie.latency src_node.pcie else 0)
       + if Loc.is_host dst then Pcie.latency dst_node.pcie else 0
     in
-    let _ = dst_node in
     pcie_hops
     + Bandwidth.time_for (Netlink.egress src_node.port) n
     + src_node.cfg.Config.net_latency

@@ -30,30 +30,30 @@ val move :
     PM placement (transmitted, then discarded in the fabric).  Callers
     modelling reliable delivery of payload data should inject loss at
     the RPC layer instead, where the message carrying the payload
-    reference is what gets lost. *)
+    reference is what gets lost.
+
+    Both ends must live on the calling engine: on a sharded deployment
+    (see {!Fabric.place}) use {!ship} or {!Rpc.post} between nodes.
+    @raise Invalid_argument naming both endpoints when [src] and [dst]
+    are placed on different shards. *)
+
+val ship :
+  ?dst_medium:[ `Pm | `Dram ] ->
+  src:Loc.t ->
+  dst:Loc.t ->
+  name:string ->
+  int ->
+  (unit -> unit) ->
+  unit
+(** [ship ~src ~dst ~name n k] moves [n] bytes and then runs [k] on the
+    destination's shard.  When both ends share an engine this is
+    [move] followed by [k ()] in the calling process.  Otherwise the
+    sender's half of the transfer (PM read, host PCIe hop, egress
+    share) blocks the caller, and a root process named [name] on the
+    destination's shard lands the bytes (port accounting, PM placement
+    for [`Pm]) after the fabric flight and runs [k]; the caller
+    continues without waiting for it.  The injection verdict is drawn
+    on the sending shard either way. *)
 
 val move_time_estimate : src:Loc.t -> dst:Loc.t -> int -> Sim.Time.t
 (** Uncontended estimate (no PM component), for planning decisions. *)
-
-(** {1 Split cross-node transfer}
-
-    For deployments partitioned per node across {!Sim.Sharded} shards:
-    the source shard pays its half with {!send_src}, the message
-    crosses the shard edge with delay {!flight}, and the destination
-    shard pays its half with {!land_dst}.  Together the three charge
-    exactly what {!move} charges for a cross-node transfer.  Sharded
-    runs are fault-free; no injection verdict is consulted. *)
-
-val send_src : ?src_medium:[ `Pm | `Dram ] -> src:Loc.t -> int -> unit
-(** Sender-side costs of a cross-node move of [n] bytes: PM read (when
-    [`Pm]), host-side PCIe hop latency, egress bandwidth share.  Blocks
-    the calling process on the {e source} shard. *)
-
-val flight : dst:Loc.t -> Sim.Time.t
-(** In-fabric delay between [send_src] returning and [land_dst]
-    running: switch latency plus the destination PCIe hop when [dst]
-    is host memory.  Use as the cross-shard message delay. *)
-
-val land_dst : ?dst_medium:[ `Pm | `Dram ] -> dst:Loc.t -> int -> unit
-(** Receiver-side costs: port receive accounting and PM write placement
-    (when [`Pm]).  Runs on the {e destination} shard. *)

@@ -241,6 +241,7 @@ let send_req t ~iv ~key ~tainted ~crc req =
   Mailbox.send t.inbox (Req { req; iv; key; tainted; crc })
 
 let call t ~from ?(bytes = msg_bytes) req =
+  Wire.check_local "Rpc.call" ~src:from ~dst:t.loc;
   match Inject.consult ~point:Inject.Rpc_call ~src:from ~dst:t.loc ~bytes with
   | Inject.Drop ->
       (* The request is lost and the caller has no timeout: it waits
@@ -273,6 +274,7 @@ let call t ~from ?(bytes = msg_bytes) req =
       resp
 
 let call_timeout t ~from ?(bytes = msg_bytes) ?key ~timeout req =
+  Wire.check_local "Rpc.call_timeout" ~src:from ~dst:t.loc;
   let verdict =
     Inject.consult ~point:Inject.Rpc_call ~src:from ~dst:t.loc ~bytes
   in
@@ -336,23 +338,27 @@ let call_retry t ~from ?(bytes = msg_bytes) ?(policy = Backoff.default)
     go 0
   end
 
-let post t ~from ?(bytes = msg_bytes) req =
+(* ---- one-way messages ---------------------------------------------- *)
+
+(* The injection verdict for one posted frame, drawn on the sending
+   engine and applied the same way on both fabric paths: [carry enqueue]
+   transmits one copy whose arrival runs [enqueue], [lose ()] pays the
+   transmission of a copy the fabric discards. *)
+let emit t ~from ~bytes ~carry ~lose req =
   let verdict =
     Inject.consult ~point:Inject.Rpc_post ~src:from ~dst:t.loc ~bytes
   in
   let key = if Inject.active () then Some (fresh_key ~from) else None in
   let crc = sender_crc t req in
   let deliver ~tainted () =
-    Rdma.move ~src:from ~dst:t.loc bytes;
-    send_req t ~iv:None ~key ~tainted ~crc req
+    carry (fun () -> send_req t ~iv:None ~key ~tainted ~crc req)
   in
   match verdict with
   | Inject.Pass -> deliver ~tainted:None ()
   | Inject.Delay d ->
       Engine.sleep d;
       deliver ~tainted:None ()
-  | Inject.Drop -> (* transmitted, lost in the fabric *)
-      Rdma.move ~src:from ~dst:t.loc bytes
+  | Inject.Drop -> (* transmitted, lost in the fabric *) lose ()
   | Inject.Duplicate ->
       deliver ~tainted:None ();
       deliver ~tainted:None ()
@@ -364,11 +370,53 @@ let post t ~from ?(bytes = msg_bytes) req =
           Engine.sleep d;
           deliver ~tainted:None ())
 
-(* Shard-local landing half of a routed one-way message: the sending
-   shard already paid the wire costs ([Rdma.send_src] + flight delay),
-   so this only enqueues the request for the server's workers.  Sharded
-   runs are fault-free, hence no key/CRC machinery. *)
-let deliver t req = send_req t ~iv:None ~key:None ~tainted:None ~crc:None req
+(* One frame to [t].  Locally it crosses the fabric with one blocking
+   move.  Routed, the sender half is paid here and the frame lands on
+   the server's shard after [flight] (at least its own flight), where
+   [landing] runs first — the landing of a payload written ahead of it. *)
+let send_frame t ~from ~bytes ~name ?(landing = ignore) ?(flight = 0) req =
+  match Wire.route ~src:from ~dst:t.loc with
+  | None ->
+      let move () = Rdma.move ~src:from ~dst:t.loc bytes in
+      emit t ~from ~bytes req ~lose:move ~carry:(fun enqueue ->
+          move ();
+          enqueue ())
+  | Some r ->
+      let send () = Wire.send_src ~src:from bytes in
+      let flight = max flight (Wire.flight ~dst:t.loc) in
+      emit t ~from ~bytes req ~lose:send ~carry:(fun enqueue ->
+          send ();
+          Wire.send r ~delay:flight ~name (fun () ->
+              landing ();
+              Wire.land_dst ~dst:t.loc bytes;
+              enqueue ()))
+
+let post t ~from ?(bytes = msg_bytes) ?(name = t.name) req =
+  send_frame t ~from ~bytes ~name req
+
+let write_post ~from ~dst ?(medium = `Dram) ?(at_dst = ignore)
+    ?(sender_wait = fun f -> f ()) ~name n server req =
+  match Wire.route ~src:from ~dst with
+  | None ->
+      at_dst ();
+      sender_wait (fun () -> Rdma.move ~dst_medium:medium ~src:from ~dst n);
+      post (server ()) ~from ~name req
+  | Some _ ->
+      (* One combined flight: the payload lands with the first copy of
+         the notification to arrive (a dropped notification loses it). *)
+      let landed = ref false in
+      let landing () =
+        if not !landed then begin
+          landed := true;
+          at_dst ();
+          Wire.land_dst ~dst_medium:medium ~dst n
+        end
+      in
+      sender_wait (fun () ->
+          Wire.send_src ~src:from n;
+          let t = server () in
+          send_frame t ~from ~bytes:msg_bytes ~name ~landing
+            ~flight:(Wire.flight ~dst) req)
 
 let queue_length t = Mailbox.length t.inbox
 

@@ -56,16 +56,13 @@ val restart : ?group:Sim.Engine.group -> _ t -> unit
 
 val loc : _ t -> Loc.t
 
-val msg_bytes : int
-(** Default control-message frame size (64 bytes), the [?bytes] default
-    of {!call}/{!post}.  Exposed so shard-routed sends can charge the
-    same wire cost as the local paths. *)
-
 val call : ('req, 'resp) t -> from:Loc.t -> ?bytes:int -> 'req -> 'resp
 (** Synchronous request: sends a message of [bytes] (default 64) to the
     server location, waits for the handler, pays the response transfer
     back.  If fault injection drops the request the caller blocks
-    forever — use {!call_timeout} on loss-tolerant paths. *)
+    forever — use {!call_timeout} on loss-tolerant paths.
+    @raise Invalid_argument naming both endpoints when [from] and the
+    server are placed on different shards. *)
 
 val call_timeout :
   ('req, 'resp) t ->
@@ -83,7 +80,8 @@ val call_timeout :
     [key] is the request's per-caller sequence number (from
     {!fresh_key}); retries of one logical request should pass the same
     key so the server's dedup cache replays the reply instead of
-    re-executing the handler.  Fresh per call when omitted. *)
+    re-executing the handler.  Fresh per call when omitted.
+    @raise Invalid_argument like {!call} across shards. *)
 
 val call_retry :
   ('req, 'resp) t ->
@@ -100,16 +98,48 @@ val call_retry :
     hook is installed this is exactly {!call} — no timers are armed, so
     fault-free simulations schedule identically. *)
 
-val post : ('req, 'resp) t -> from:Loc.t -> ?bytes:int -> 'req -> unit
+val post :
+  ('req, 'resp) t -> from:Loc.t -> ?bytes:int -> ?name:string -> 'req -> unit
 (** Fire-and-forget: pays the request transfer, does not wait for the
-    handler to finish. *)
+    handler to finish.
 
-val deliver : ('req, 'resp) t -> 'req -> unit
-(** Enqueue [req] for the server's workers with {e no} wire costs: the
-    landing half of a cross-shard routed message whose transfer was
-    already charged on the sending shard ({!Rdma.send_src} plus the
-    {!Rdma.flight} delay of the shard edge).  Fault-free only — no
-    injection verdict, sequence key or CRC trailer. *)
+    The one cross-node send that works on every deployment.  When
+    [from] and the server share an engine the frame crosses the fabric
+    with a blocking {!Rdma.move}.  When they are placed on different
+    {!Sim.Sharded} shards (see {!Fabric.place}) the sender half of the
+    transfer is paid on [from]'s shard and a root process named [name]
+    (default: the server's name) enqueues the request on the server's
+    shard after the fabric flight.  Both paths draw one injection
+    verdict on the sending engine and apply it identically (drop,
+    delay, duplicate, reorder, corrupt), with the same sequence keys
+    and CRC trailers. *)
+
+val write_post :
+  from:Loc.t ->
+  dst:Loc.t ->
+  ?medium:[ `Pm | `Dram ] ->
+  ?at_dst:(unit -> unit) ->
+  ?sender_wait:((unit -> unit) -> unit) ->
+  name:string ->
+  int ->
+  (unit -> ('req, 'resp) t) ->
+  'req ->
+  unit
+(** [write_post ~from ~dst n server req]: one-sided write of an [n]-byte
+    payload into [dst] ([medium] default [`Dram]; [`Pm] charges PM
+    placement), then {!post} of the notification [req] to [server ()].
+    [at_dst] runs on the destination side just before the payload
+    lands (e.g. allocating the NIC DRAM it is staged in);
+    [sender_wait f] runs [f], the sender's share of the transfer (e.g.
+    under a busy-polling CPU loop); [name] is as for {!post}.
+
+    Locally: [at_dst], the payload move under [sender_wait], then
+    [server] is resolved — after the move, so a server that changed
+    plane meanwhile is chased — and the notification is posted.
+    Routed: the payload's and the notification's sender halves run
+    under [sender_wait], and both land in one combined flight (the
+    longer of the two); the payload lands with the first delivered copy
+    of the notification, so a dropped notification loses it. *)
 
 val queue_length : _ t -> int
 (** Requests waiting to be picked up (a load signal). *)

@@ -16,7 +16,8 @@
 # whose output must be byte-identical at 1 and 4 domains), and the
 # scale smoke: an 8-node rack of replica groups with cohort clients,
 # byte-identical at 1 and 4 domains with the cross-shard message
-# coalescer demonstrably batching.  These check correctness of the
+# coalescer demonstrably batching, and a 24-node rack at 2 domains run
+# three times against 1 domain.  These check correctness of the
 # parallel windows, not speed — the events/s trajectory is bench.sh's
 # job.  The committed BENCH_wallclock.json is validated up front: it
 # must carry the harness's gates object with every gate evaluated and
@@ -104,6 +105,26 @@ rm -f _scale_smoke_d1.txt _scale_smoke_d4.txt \
       _scale_smoke_d1.err _scale_smoke_d4.err
 echo "scale smoke: 8-node rack byte-identical at 1 and 4 domains," \
      "coalescing exercised"
+
+# ---- 2-domain rack smoke ---------------------------------------------
+# A 24-node rack (6 replica groups of 4, 4-user cohorts) on 2 domains,
+# three times, each byte-identical to 1 domain.  This is the shape that
+# exposed the worker-pool claim race (a pool worker running a shard the
+# coordinator was running inline); the 8-node smoke above never hit it.
+dune exec bin/linefs_sim.exe -- --nodes 24 --group-size 4 --cohort 4 \
+  --file-mb 128 --domains 1 > _rack24_d1.txt
+for run in 1 2 3; do
+  dune exec bin/linefs_sim.exe -- --nodes 24 --group-size 4 --cohort 4 \
+    --file-mb 128 --domains 2 > _rack24_d2.txt
+  cmp _rack24_d1.txt _rack24_d2.txt || {
+    echo "FAIL: 24-node rack output differs between 1 and 2 domains" \
+         "(run $run)"
+    diff _rack24_d1.txt _rack24_d2.txt || true
+    exit 1
+  }
+done
+rm -f _rack24_d1.txt _rack24_d2.txt
+echo "rack smoke: 24-node rack byte-identical at 1 and 2 domains, 3 runs"
 
 dune exec bench/wallclock.exe -- \
   --domains "${SMOKE_DOMAINS:-4}" --no-domain-probe -o _ci_wallclock.json

@@ -446,6 +446,78 @@ let test_call_timeout_gives_up_on_slow_handler () =
       (* Let the abandoned handler finish so the simulation quiesces. *)
       Engine.sleep (Time.ms 25))
 
+(* ------------------------------------------------------------------ *)
+(* Fabric: nodes placed on different shards                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Node 0 on shard 0, node 1 on shard 1 of a two-shard runner. *)
+let placed_pair () =
+  let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:2 () in
+  let topo = Hw.Topology.create ~nodes:2 () in
+  Fabric.place ~sharding:(sh, 0) topo.Hw.Topology.nodes;
+  (sh, Hw.Topology.node topo 0, Hw.Topology.node topo 1)
+
+(* A server on node 1's shard that records what it handled. *)
+let placed_server b seen =
+  Fabric.start ~name:"boot" b (fun () ->
+      Rpc.create ~name:"far" ~loc:(Loc.Nic b) ~kind:event_kind
+        ~handler:(fun x -> seen := x :: !seen)
+        ())
+
+(* A blocking primitive called from shard 0 toward node 1 must refuse,
+   naming both endpoints, before touching either engine. *)
+let refused what f () =
+  let sh, a, b = placed_pair () in
+  let srv = placed_server b (ref []) in
+  let checked = ref false in
+  Sharded.spawn_root sh ~shard:0 (fun () ->
+      Alcotest.check_raises what
+        (Invalid_argument
+           (what ^ ": nic0 (shard 0) and nic1 (shard 1) are on different shards"))
+        (fun () -> f srv (Loc.Nic a) (Loc.Nic b));
+      checked := true);
+  Sharded.run sh;
+  Alcotest.(check bool) "checked" true !checked
+
+let test_cross_shard_move_refused =
+  refused "Rdma.move" (fun _ src dst -> Rdma.move ~src ~dst 64)
+
+let test_cross_shard_call_refused =
+  refused "Rpc.call" (fun srv from _ -> Rpc.call srv ~from 1)
+
+let test_cross_shard_call_timeout_refused =
+  refused "Rpc.call_timeout" (fun srv from _ ->
+      ignore (Rpc.call_timeout srv ~from ~timeout:(Time.ms 1) 1 : unit option))
+
+let test_routed_post_delivers () =
+  let sh, a, b = placed_pair () in
+  let seen = ref [] in
+  let srv = placed_server b seen in
+  Sharded.spawn_root sh ~shard:0 (fun () -> Rpc.post srv ~from:(Loc.Nic a) 7);
+  Sharded.run sh;
+  Alcotest.(check (list int)) "delivered on the far shard" [ 7 ] !seen
+
+(* The verdict is drawn on the sending shard: the script is installed
+   from a process on shard 0, so it binds to that engine only. *)
+let routed_posts verdicts values =
+  let sh, a, b = placed_pair () in
+  let seen = ref [] in
+  let srv = placed_server b seen in
+  Sharded.spawn_root sh ~shard:0 (fun () ->
+      with_script verdicts (fun () ->
+          List.iter (fun v -> Rpc.post srv ~from:(Loc.Nic a) v) values));
+  Sharded.run sh;
+  (List.rev !seen, Counters.get_in (Sharded.engine sh 1) "rpc.dedup-hit")
+
+let test_routed_post_drop () =
+  let seen, _ = routed_posts [ Inject.Drop ] [ 1; 2 ] in
+  Alcotest.(check (list int)) "dropped post never delivered" [ 2 ] seen
+
+let test_routed_post_duplicate () =
+  let seen, hits = routed_posts [ Inject.Duplicate ] [ 1 ] in
+  Alcotest.(check (list int)) "handler ran once" [ 1 ] seen;
+  Alcotest.(check int) "one dedup hit at the receiver" 1 hits
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "net"
@@ -490,5 +562,17 @@ let () =
             test_call_retry_deadline_ladder_capped;
           tc "exactly once under duplicate and reorder" `Quick
             test_call_retry_exactly_once_under_duplicate_and_reorder;
+        ] );
+      ( "fabric",
+        [
+          tc "Rdma.move refuses cross-shard ends" `Quick
+            test_cross_shard_move_refused;
+          tc "Rpc.call refuses cross-shard ends" `Quick
+            test_cross_shard_call_refused;
+          tc "Rpc.call_timeout refuses cross-shard ends" `Quick
+            test_cross_shard_call_timeout_refused;
+          tc "routed post delivers" `Quick test_routed_post_delivers;
+          tc "routed post honours drop" `Quick test_routed_post_drop;
+          tc "routed post honours duplicate" `Quick test_routed_post_duplicate;
         ] );
     ]
