@@ -479,21 +479,21 @@ let mark_chunk_replicated t cs ~idx ~last_seq =
    NIC DRAM staging allocation is successor state, so it runs on the
    successor's side of the write. *)
 let send_to_successor t nxt ~origin ~wire (c : Chunk.t) =
-  let ship ?at_dst ~dst ~medium msg =
+  let write ?at_dst ~dst ~medium msg =
     Net.Rpc.write_post ~from:(src_loc t) ~dst ~medium ?at_dst
       ~name:"nicfs.repl-ship" wire
       (fun () -> dserver nxt)
       msg
   in
   if nxt.fallback then
-    ship ~dst:(Net.Loc.Host nxt.node) ~medium:`Pm
+    write ~dst:(Net.Loc.Host nxt.node) ~medium:`Pm
       (Repl_chunk { chunk = c; origin; wire; nic_mem = false })
   else if is_last nxt && wire = c.Chunk.bytes then
     (* Uncompressed direct placement into the last host's PM log. *)
-    ship ~dst:(Net.Loc.Host nxt.node) ~medium:`Pm
+    write ~dst:(Net.Loc.Host nxt.node) ~medium:`Pm
       (Repl_direct { chunk = c; origin })
   else
-    ship
+    write
       ~at_dst:(fun () -> Hw.Smartnic.alloc nxt.node.Hw.Node.nic wire)
       ~dst:(Net.Loc.Nic nxt.node) ~medium:`Dram
       (Repl_chunk { chunk = c; origin; wire; nic_mem = true })

@@ -518,6 +518,24 @@ let test_routed_post_duplicate () =
   Alcotest.(check (list int)) "handler ran once" [ 1 ] seen;
   Alcotest.(check int) "one dedup hit at the receiver" 1 hits
 
+(* The time a routed [Rdma.ship]'s continuation runs on node 1's
+   shard, under a verdict drawn on node 0's. *)
+let routed_ship_arrival verdict =
+  let sh, a, b = placed_pair () in
+  let at = ref None in
+  Sharded.spawn_root sh ~shard:0 (fun () ->
+      Inject.set (fun ~point:_ ~src:_ ~dst:_ ~bytes:_ -> verdict);
+      Rdma.ship ~src:(Loc.Nic a) ~dst:(Loc.Nic b) ~name:"ship" 4096 (fun () ->
+          at := Some (Engine.now ())));
+  Sharded.run sh;
+  match !at with Some t -> t | None -> Alcotest.fail "ship never landed"
+
+let test_routed_ship_delay () =
+  Alcotest.(check int)
+    "a delay verdict postpones the landing by its latency"
+    (routed_ship_arrival Inject.Pass + Time.us 50)
+    (routed_ship_arrival (Inject.Delay (Time.us 50)))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "net"
@@ -574,5 +592,6 @@ let () =
           tc "routed post delivers" `Quick test_routed_post_delivers;
           tc "routed post honours drop" `Quick test_routed_post_drop;
           tc "routed post honours duplicate" `Quick test_routed_post_duplicate;
+          tc "routed ship honours delay" `Quick test_routed_ship_delay;
         ] );
     ]
