@@ -17,61 +17,14 @@ let params () =
   { Params.default with Params.log_bytes = !current_scale.log_bytes }
 
 (* Run [f] as the root process of a fresh engine and return its value. *)
-let in_sim ?deadline f =
+let in_sim f =
   let eng = Engine.create () in
   let result = ref None in
   Engine.spawn_root eng (fun () -> result := Some (f ()));
-  Engine.run ?deadline eng;
+  Engine.run eng;
   match !result with
   | Some v -> v
-  | None -> failwith "bench: simulation deadline hit before completion"
-
-(* How many domains experiment batches spread over (the --domains
-   flag); 1 keeps the historical strictly sequential path. *)
-let domains = ref 1
-
-(* Run a batch of independent simulations — one fresh engine each, no
-   cross-sim interaction — and return their values in input order.
-   With [domains = 1] this is exactly [List.map in_sim]; otherwise the
-   sims become shards of a {!Sim.Sharded} runner (no edges, so every
-   shard runs to completion in a single window) spread over the
-   domains.  Every shard gets the same engine seed [in_sim] always
-   used, so results are identical for every domain count. *)
-(* OCaml 5 minor collections are stop-the-world across every domain:
-   with several engines allocating in parallel on a default-size
-   (256 KW) minor heap, the barrier fires so often that the whole batch
-   serializes behind it — the multi-domain slowdown the wallclock
-   harness used to record.  For the duration of a multi-domain batch,
-   give each domain a much larger minor heap (fewer, better-amortized
-   barriers) and a lazier major-slice policy, then restore the user's
-   settings. *)
-let with_parallel_gc f =
-  let g = Gc.get () in
-  Gc.set
-    {
-      g with
-      Gc.minor_heap_size = 8 * 1024 * 1024 (* words: 64 MB per domain *);
-      space_overhead = 200;
-    };
-  Fun.protect ~finally:(fun () -> Gc.set g) f
-
-let in_sims fs =
-  if !domains <= 1 then List.map (fun f -> in_sim f) fs
-  else
-    with_parallel_gc (fun () ->
-        let n = List.length fs in
-        let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:n () in
-        let results = Array.make n None in
-        List.iteri
-          (fun i f ->
-            Sharded.spawn_root sh ~shard:i (fun () ->
-                results.(i) <- Some (f ())))
-          fs;
-        Sharded.run ~domains:!domains sh;
-        Array.to_list results
-        |> List.map (function
-             | Some v -> v
-             | None -> failwith "bench: shard did not complete"))
+  | None -> failwith "bench: root process never finished"
 
 (* Spawn [n] client bodies and wait for all to finish; returns elapsed. *)
 let parallel_clients n body =

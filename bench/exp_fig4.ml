@@ -8,7 +8,7 @@ open Common
 let io_bytes = 16 * 1024
 
 (* Body of one (system, busy, clients) cell; runs inside its own
-   engine, so cells are independent and batch cleanly across domains. *)
+   engine. *)
 let run_one which ~busy ~clients () =
   let dfs_prio = if busy then Hw.Cpu.prio_high else Hw.Cpu.prio_normal in
   let sys = make_system ~dfs_prio which in
@@ -32,26 +32,6 @@ let run_one which ~busy ~clients () =
 let run () =
   heading "Figure 4: write throughput scalability (GB/s)";
   let counts = [ 1; 2; 4; 8 ] in
-  (* All 40 cells are independent sims: build the whole batch first so
-     [in_sims] can spread it over domains, then slice results back into
-     tables in the original order. *)
-  let cells =
-    List.concat_map
-      (fun busy ->
-        List.concat_map
-          (fun which ->
-            List.map (fun n -> run_one which ~busy ~clients:n) counts)
-          all_systems)
-      [ false; true ]
-  in
-  let results = ref (in_sims cells) in
-  let next () =
-    match !results with
-    | v :: rest ->
-        results := rest;
-        v
-    | [] -> assert false
-  in
   List.iter
     (fun busy ->
       subheading (if busy then "replicas busy" else "replicas idle");
@@ -59,7 +39,9 @@ let run () =
         List.map
           (fun which ->
             sysname_to_string which
-            :: List.map (fun _ -> f2 (next ())) counts)
+            :: List.map
+                 (fun n -> f2 (in_sim (run_one which ~busy ~clients:n)))
+                 counts)
           all_systems
       in
       print_table

@@ -9,8 +9,7 @@ open Common
 
 let records () = if !current_scale == Common.full then 10_000_000 else 400_000
 
-(* Body of one (system, compressibility) run — its own engine, so the
-   four runs are independent and batch across domains. *)
+(* Body of one (system, compressibility) run, in its own engine. *)
 let run_one ~system ~zero_ratio ~with_ts () =
   let sys =
     match system with
@@ -44,16 +43,14 @@ let run () =
   heading "Figure 9: Tencent Sort with data-path compression";
   Printf.printf "records: %d (100 B each), iperf in background\n" (records ());
   let ratios = [ 0.4; 0.6; 0.8 ] in
-  let results =
-    in_sims
-      (run_one ~system:`Assise ~zero_ratio:0.6 ~with_ts:false
-      :: List.map
-           (fun ratio ->
-             run_one ~system:`Linefs ~zero_ratio:ratio ~with_ts:(ratio = 0.8))
-           ratios)
+  let assise_t, assise_wire, _ =
+    in_sim (run_one ~system:`Assise ~zero_ratio:0.6 ~with_ts:false)
   in
-  let (assise_t, assise_wire, _), linefs_results =
-    match results with a :: rest -> (a, rest) | [] -> assert false
+  let linefs_results =
+    List.map
+      (fun ratio ->
+        in_sim (run_one ~system:`Linefs ~zero_ratio:ratio ~with_ts:(ratio = 0.8)))
+      ratios
   in
   let rows = ref [] in
   let ts80 = ref None in

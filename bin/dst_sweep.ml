@@ -12,13 +12,6 @@
      dst_sweep --adversary N                 Byzantine-fabric sweep (N seeds)
      dst_sweep --print-fingerprints          print pinned-scenario fingerprints
      dst_sweep --check-fingerprints FILE     compare against a committed file
-     dst_sweep --domains N ...               run sweep scenarios N at a time
-
-   [--domains N] runs the sweep scenarios as edge-less shards of one
-   Sim.Sharded batch, up to N in parallel (Scenario.run_batch).  The
-   scenarios are independent, so every outcome is identical to a
-   sequential run at any N — asserted here by cross-checking one batch
-   fingerprint against a sequential re-run.
 
    The adversary sweep draws plans only from duplication, reordering,
    corruption and storage faults at aggressive probabilities — the
@@ -40,21 +33,14 @@ let fail fmt =
       Printf.printf "FAIL %s\n%!" s)
     fmt
 
-let domains = ref 1
-
-let check_outcome ~what o =
-  if Fault.Scenario.failed o then
-    fail "%s: %s" what (Format.asprintf "%a" Fault.Scenario.pp_outcome o)
-  else Printf.printf "ok   %s\n%!" what
-
-(* Run a named spec list as one sharded batch ([--domains] wide) and
-   check every outcome. *)
-let check_batch named =
-  let outcomes =
-    Fault.Scenario.run_batch ~domains:!domains (List.map snd named)
-  in
-  List.iter2 (fun (what, _) o -> check_outcome ~what o) named outcomes;
-  outcomes
+let check_all named =
+  List.iter
+    (fun (what, spec) ->
+      let o = Fault.Scenario.run spec in
+      if Fault.Scenario.failed o then
+        fail "%s: %s" what (Format.asprintf "%a" Fault.Scenario.pp_outcome o)
+      else Printf.printf "ok   %s\n%!" what)
+    named
 
 let check_deterministic ~what spec =
   let fp () = Fault.Dst.fingerprint (Fault.Dst.run_spec spec).Fault.Dst.outcome in
@@ -141,7 +127,7 @@ let adversary_sweep n =
         ( Printf.sprintf "adversary seed %d" seed,
           Fault.Scenario.generate_adversary ~seed ))
   in
-  ignore (check_batch named : Fault.Scenario.outcome list);
+  check_all named;
   check_deterministic ~what:"adversary seed 1"
     (Fault.Scenario.generate_adversary ~seed:1);
   if !failures > 0 then begin
@@ -152,18 +138,7 @@ let adversary_sweep n =
   exit 0
 
 let () =
-  let rec strip_domains = function
-    | "--domains" :: n :: rest ->
-        domains := int_of_string n;
-        strip_domains rest
-    | x :: rest -> x :: strip_domains rest
-    | [] -> []
-  in
-  let args =
-    match Array.to_list Sys.argv with
-    | a0 :: rest -> a0 :: strip_domains rest
-    | [] -> []
-  in
+  let args = Array.to_list Sys.argv in
   (match args with
   | _ :: "--print-fingerprints" :: _ -> print_fingerprints ()
   | _ :: "--check-fingerprints" :: file :: _ -> check_fingerprints file
@@ -175,7 +150,7 @@ let () =
         let seed = i + 1 in
         (Printf.sprintf "generated seed %d" seed, Fault.Scenario.generate ~seed))
   in
-  let gen_outcomes = check_batch generated in
+  check_all generated;
   let failovers =
     [
       ("failover-primary-crash", Fault.Scenario.failover_primary_crash);
@@ -185,29 +160,13 @@ let () =
       ("failover-double-failure", Fault.Scenario.failover_double_failure);
     ]
   in
-  ignore
-    (check_batch
-       (List.concat_map
-          (fun (name, mk) ->
-            List.map
-              (fun seed -> (Printf.sprintf "%s seed %d" name seed, mk ~seed))
-              [ 1; 2; 3 ])
-          failovers)
-      : Fault.Scenario.outcome list);
-  (* The batched run must reproduce the sequential fingerprint exactly:
-     the shards share no edges, so sharding may not perturb a single
-     scenario's virtual time. *)
-  (match (generated, gen_outcomes) with
-  | (what, spec) :: _, o :: _ ->
-      let seq =
-        Fault.Dst.fingerprint (Fault.Dst.run_spec spec).Fault.Dst.outcome
-      in
-      let batched = Fault.Dst.fingerprint o in
-      if seq <> batched then
-        fail "%s: batched fingerprint diverges from sequential:\n  seq:   %s\n  batch: %s"
-          what seq batched
-      else Printf.printf "ok   %s (batch matches sequential)\n%!" what
-  | _ -> ());
+  check_all
+    (List.concat_map
+       (fun (name, mk) ->
+         List.map
+           (fun seed -> (Printf.sprintf "%s seed %d" name seed, mk ~seed))
+           [ 1; 2; 3 ])
+       failovers);
   check_deterministic ~what:"generated seed 1"
     (Fault.Scenario.generate ~seed:1);
   check_deterministic ~what:"failover-primary-crash seed 1"

@@ -65,10 +65,8 @@ let make_system ?sharding system busy params =
         (fun () -> Baselines.Assise.total_host_dfs_cpu a),
         fun () -> Baselines.Assise.stop a )
 
-(* The measurement proper, over an already-built system, parameterized
-   over where its output goes so that multi-instance runs can buffer
-   per-instance text and compare it byte-for-byte afterwards. *)
-let workload_body fmt (name, client_ops, node_of, total_dfs_cpu, teardown)
+(* The measurement proper, over an already-built system. *)
+let workload_body (name, client_ops, node_of, total_dfs_cpu, teardown)
     workload clients file_mb io_kb files duration_ms busy latency_mode () =
   let file_bytes = file_mb * 1024 * 1024 in
   let io_bytes = io_kb * 1024 in
@@ -84,7 +82,7 @@ let workload_body fmt (name, client_ops, node_of, total_dfs_cpu, teardown)
     end
     else fun () -> ()
   in
-  Fmt.pf fmt "system: %s, %d client(s), %d MB file, %d KB IOs%s@." name clients
+  Fmt.pr "system: %s, %d client(s), %d MB file, %d KB IOs%s@." name clients
     file_mb io_kb
     (if busy then ", replicas busy" else "");
   if workload = Metastorm then begin
@@ -93,7 +91,7 @@ let workload_body fmt (name, client_ops, node_of, total_dfs_cpu, teardown)
       Workloads.Metastorm.run ~ops ~files ~threads:(clients * 4)
         ~duration:(Time.ms duration_ms) ~seed:42 ()
     in
-    Fmt.pf fmt
+    Fmt.pr
       "metastorm: %d ops in %a of simulated time: %.1f kops/s (%d files, %d \
        threads)@."
       r.Workloads.Metastorm.ops_done Time.pp r.Workloads.Metastorm.elapsed
@@ -105,7 +103,7 @@ let workload_body fmt (name, client_ops, node_of, total_dfs_cpu, teardown)
       Workloads.Microbench.write_fsync_latency ~ops ~path:"/lat"
         ~n_ops:(file_bytes / io_bytes) ~io_bytes ()
     in
-    Fmt.pf fmt "write+fsync latency: avg %.1f us, p50 %.1f, p99 %.1f, p99.9 %.1f@."
+    Fmt.pr "write+fsync latency: avg %.1f us, p50 %.1f, p99 %.1f, p99.9 %.1f@."
       (Stats.Series.mean series)
       (Stats.Series.percentile series 50.0)
       (Stats.Series.percentile series 99.0)
@@ -127,10 +125,10 @@ let workload_body fmt (name, client_ops, node_of, total_dfs_cpu, teardown)
       opses;
     Ivar.read all_done;
     let elapsed = Engine.now () - t0 in
-    Fmt.pf fmt "wrote %d MB in %a of simulated time: %.2f GB/s@." file_mb
+    Fmt.pr "wrote %d MB in %a of simulated time: %.2f GB/s@." file_mb
       Time.pp elapsed
       (float_of_int file_bytes /. Time.to_sec_f elapsed /. 1e9);
-    Fmt.pf fmt "host DFS CPU consumed across the cluster: %a (%.2f cores avg)@."
+    Fmt.pr "host DFS CPU consumed across the cluster: %a (%.2f cores avg)@."
       Time.pp (total_dfs_cpu ())
       (float_of_int (total_dfs_cpu ()) /. float_of_int elapsed)
   end;
@@ -192,14 +190,8 @@ let run_rack ~nodes ~group_size ~cohort ~file_mb ~io_kb ~domains params =
     s.Sharded.fast_forwards s.Sharded.messages s.Sharded.batch_max
     s.Sharded.extended_horizons
 
-(* Run [instances] identical copies of the benchmark, optionally spread
-   over [domains].  Each instance's output is buffered and the buffers
-   must agree byte-for-byte — a cheap end-to-end determinism smoke test
-   riding along with every multi-instance run.  [instances = 1,
-   domains = 1] keeps the historical single-engine path. *)
 let run_bench system workload clients file_mb io_kb log_mb files duration_ms
-    busy latency_mode instances domains shard_deployment nodes group_size
-    cohort =
+    busy latency_mode domains shard_deployment nodes group_size cohort =
   let params =
     { Params.default with Params.log_bytes = log_mb * 1024 * 1024 }
   in
@@ -212,12 +204,9 @@ let run_bench system workload clients file_mb io_kb log_mb files duration_ms
         List.iter (fun (name, n) -> Fmt.pr "  %-24s %d@." name n) counters
   end
   else begin
-  let body ?sys fmt () =
-    let sys =
-      match sys with Some s -> s | None -> make_system system busy params
-    in
-    workload_body fmt sys workload clients file_mb io_kb files duration_ms
-      busy latency_mode ()
+  let body sys =
+    workload_body sys workload clients file_mb io_kb files duration_ms busy
+      latency_mode
   in
   if shard_deployment then begin
     (* One deployment, one shard per node: host + SmartNIC plane of
@@ -227,7 +216,7 @@ let run_bench system workload clients file_mb io_kb log_mb files duration_ms
        byte-identical at every domain count. *)
     let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:3 () in
     let sys = make_system ~sharding:(sh, 0) system busy params in
-    Sharded.spawn_root ~name:"bench" sh ~shard:0 (body ~sys Fmt.stdout);
+    Sharded.spawn_root ~name:"bench" sh ~shard:0 (body sys);
     Sharded.run ~domains sh;
     for i = 0 to Sharded.shard_count sh - 1 do
       Counters.merge (Sharded.engine sh i)
@@ -248,42 +237,15 @@ let run_bench system workload clients file_mb io_kb log_mb files duration_ms
       s.Sharded.fast_forwards s.Sharded.messages s.Sharded.batch_max
       s.Sharded.extended_horizons
   end
-  else if instances <= 1 && domains <= 1 then begin
+  else begin
     let eng = Engine.create () in
-    Engine.spawn_root eng (body Fmt.stdout);
+    Engine.spawn_root eng (fun () -> body (make_system system busy params) ());
     Engine.run eng;
     Counters.merge eng
-  end
-  else begin
-    (* Every instance gets the seed [Engine.create ()] defaults to, so
-       each must reproduce the single-instance run exactly. *)
-    let sh = Sharded.create ~seed_of:(fun _ -> 42) ~shards:instances () in
-    let bufs = Array.init instances (fun _ -> Buffer.create 4096) in
-    let fmts = Array.map Format.formatter_of_buffer bufs in
-    for i = 0 to instances - 1 do
-      Sharded.spawn_root sh ~shard:i (body fmts.(i))
-    done;
-    Sharded.run ~domains sh;
-    for i = 0 to instances - 1 do
-      Counters.merge (Sharded.engine sh i)
-    done;
-    Array.iter (fun f -> Format.pp_print_flush f ()) fmts;
-    let first = Buffer.contents bufs.(0) in
-    print_string first;
-    Array.iteri
-      (fun i b ->
-        if Buffer.contents b <> first then begin
-          Fmt.epr "instance %d diverged from instance 0:@.%s@."
-            i (Buffer.contents b);
-          exit 1
-        end)
-      bufs;
-    Fmt.pr "%d instance(s) over %d domain(s): outputs identical@." instances
-      domains
   end;
   (* Robustness event counters (retransmits, dedup hits, NACKed
      frames, scrub actions...) — all zero, and therefore silent, on a
-     fault-free run; aggregated over all instances. *)
+     fault-free run. *)
   (match Counters.all () with
   | [] -> ()
   | counters ->
@@ -334,21 +296,13 @@ let cmd =
       value & flag
       & info [ "latency" ] ~doc:"Measure per-op write+fsync latency instead.")
   in
-  let instances =
-    Arg.(
-      value & opt int 1
-      & info [ "instances" ]
-          ~doc:
-            "Run $(docv) identical copies of the benchmark as shards; their \
-             outputs must match byte-for-byte."
-          ~docv:"M")
-  in
   let domains =
     Arg.(
       value & opt int 1
       & info [ "domains" ]
-          ~doc:"Spread instances (or deployment node shards) over $(docv) OS \
-                domains." ~docv:"N")
+          ~doc:
+            "Spread the node shards of --shard-deployment or --nodes runs \
+             over $(docv) OS domains." ~docv:"N")
   in
   let shard_deployment =
     Arg.(
@@ -385,8 +339,8 @@ let cmd =
     (Cmd.info "linefs_sim" ~doc:"LineFS simulation workbench")
     Term.(
       const run_bench $ system $ workload $ clients $ file_mb $ io_kb $ log_mb
-      $ files $ duration_ms $ busy $ latency $ instances $ domains
-      $ shard_deployment $ nodes $ group_size $ cohort)
+      $ files $ duration_ms $ busy $ latency $ domains $ shard_deployment
+      $ nodes $ group_size $ cohort)
 
 let () =
   (* Wall clock for the sharded runner's inline-vs-parallel policy

@@ -291,11 +291,18 @@ let bitrot_nodes plan =
 (* Scenario execution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Build one scenario on [eng] (the root process installs the fault
-   hook and observers from inside the engine, so they are engine-local
-   and scenarios can run as parallel shards), returning the finisher
-   that computes the outcome once the engine has been driven. *)
-let prepare (spec : spec) eng =
+(* Deadline rationale: a correct system finishes well inside 30 virtual
+   seconds; hitting it means the scenario wedged, which the checker
+   reports.  A crash inside the simulation (a failwith in some daemon)
+   is itself a finding, not a harness error — captured as a
+   violation. *)
+let scenario_deadline = Time.sec 30
+
+(* The root process installs the fault hook and observers from inside
+   the engine, so they are engine-local and die with it. *)
+let run (spec : spec) =
+  let eng = Engine.create ~seed:spec.seed () in
+  Counters.reset ();
   let trace = Trace.create () in
   let histories : (int, Oplog.entry list ref) Hashtbl.t = Hashtbl.create 4 in
   let net = Netfault.create ~rng:(Rng.create (spec.seed lxor 0x6e6574)) in
@@ -425,7 +432,11 @@ let prepare (spec : spec) eng =
       Cluster.Manager.stop mgr;
       D.stop dep;
       completed := true);
-  fun sim_crash ->
+  let sim_crash =
+    match Engine.run ~deadline:scenario_deadline eng with
+    | () -> None
+    | exception e -> Some (Printexc.to_string e)
+  in
   let histories =
     Hashtbl.fold (fun c h acc -> (c, List.rev !h) :: acc) histories []
     |> List.sort compare
@@ -493,50 +504,3 @@ let prepare (spec : spec) eng =
       Counters.get_in eng "storage.scrub-refetch"
       + Counters.get_in eng "storage.bitrot-repair";
   }
-
-(* Deadline rationale: a correct system finishes well inside 30 virtual
-   seconds; hitting it means the scenario wedged, which the checker
-   reports.  A crash inside the simulation (a failwith in some daemon)
-   is itself a finding, not a harness error — captured as a
-   violation. *)
-let scenario_deadline = Time.sec 30
-
-let run (spec : spec) =
-  let eng = Engine.create ~seed:spec.seed () in
-  Counters.reset ();
-  let finish = prepare spec eng in
-  let sim_crash =
-    match Engine.run ~deadline:scenario_deadline eng with
-    | () -> None
-    | exception e -> Some (Printexc.to_string e)
-  in
-  finish sim_crash
-
-let run_batch ?(domains = 1) specs =
-  match specs with
-  | [] -> []
-  | _ ->
-      let specs = Array.of_list specs in
-      let n = Array.length specs in
-      Counters.reset ();
-      (* Edge-less shards: the scenarios are independent, so every
-         shard runs unconstrained with exactly [Engine.run ~deadline]
-         semantics — outcomes are identical to sequential {!run} calls
-         for every domain count.  [seed_of] gives each shard's engine
-         the very seed a sequential run would have used. *)
-      let sh =
-        Sharded.create ~seed_of:(fun i -> specs.(i).seed) ~shards:n ()
-      in
-      let finishers =
-        Array.mapi (fun i spec -> prepare spec (Sharded.engine sh i)) specs
-      in
-      Sharded.run ~domains ~deadline:scenario_deadline ~keep_going:true sh;
-      let errs = Sharded.errors sh in
-      Array.to_list
-        (Array.mapi
-           (fun i finish ->
-             finish
-               (match List.assoc_opt i errs with
-               | Some e -> Some (Printexc.to_string e)
-               | None -> None))
-           finishers)

@@ -75,14 +75,6 @@ val run : spec -> outcome
     (network injection, lease observer, entry observer) are installed
     engine-locally and die with the engine. *)
 
-val run_batch : ?domains:int -> spec list -> outcome list
-(** Run many independent scenarios, one per {!Sim.Sharded} shard, with
-    up to [domains] (default 1) running in parallel.  The shards share
-    no edges, so each runs with exactly the single-engine semantics of
-    {!run}: outcomes — digests, traces, counters — are identical to
-    sequential [run] calls at every domain count.  [keep_going]
-    semantics: one scenario crashing doesn't stop the others. *)
-
 val pp_spec : Format.formatter -> spec -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 

@@ -49,8 +49,8 @@ val set : hook -> unit
 (** Install the hook (replacing any previous one).  Called from inside
     a simulation process, the hook is {e engine-local}: it binds to the
     engine currently running on this domain and is consulted only by
-    traffic of that engine — which is what lets independent fault
-    scenarios run as parallel shards.  Called outside any engine, it
+    traffic of that engine, so a hook installed on one shard never
+    fires on another.  Called outside any engine, it
     installs the process-global fallback (consulted by engines with no
     local hook), preserving the historical single-sim behaviour. *)
 

@@ -349,9 +349,8 @@ let run_until t ~bound =
    the earliest instant a consequence of that send could return.
    Execution is time-ordered, so every event already executed when the
    bound drops is at or before the send time — never beyond the new
-   bound.  [deadline] behaves as in [run]: when the next event would
-   pass it, pending events are discarded and the clock is clamped. *)
-let run_until_dyn ?deadline t ~bound =
+   bound. *)
+let run_until_dyn t ~bound =
   with_current t @@ fun () ->
   t.stopped <- false;
   let running = ref true in
@@ -359,14 +358,8 @@ let run_until_dyn ?deadline t ~bound =
     if Heap.is_empty t.events then running := false
     else begin
       let time = Heap.top_key t.events in
-      if time >= !bound then running := false
-      else
-        match deadline with
-        | Some d when time > d ->
-            t.now <- d;
-            t.events <- Heap.create ();
-            running := false
-        | _ -> exec_event t time (Heap.pop_top t.events)
+      if time < !bound then exec_event t time (Heap.pop_top t.events)
+      else running := false
     end
   done;
   Heap.peek_key t.events

@@ -102,17 +102,14 @@ val run_until : t -> bound:Time.t -> Time.t option
 (** Execute every pending event with timestamp strictly below [bound]
     and return the timestamp of the next pending event (or [None] when
     drained).  Events at or beyond [bound] stay queued; a later
-    [run_until] or {!run} resumes them.  This is the per-window drain
-    used by the sharded runner ({!Sharded}). *)
+    [run_until] or {!run} resumes them. *)
 
-val run_until_dyn : ?deadline:Time.t -> t -> bound:Time.t ref -> Time.t option
+val run_until_dyn : t -> bound:Time.t ref -> Time.t option
 (** Like {!run_until}, but [bound] is re-read before every event, so
     code run by the events (e.g. {!Sharded.send}) may tighten it
     mid-window; execution is time-ordered, so nothing already executed
-    can lie beyond a bound lowered by the event that just ran.  A
-    [deadline] behaves as in {!run}: when the next event would pass it,
-    pending events are discarded and the clock is left at the
-    deadline. *)
+    can lie beyond a bound lowered by the event that just ran.  This is
+    the per-window drain of the sharded runner ({!Sharded}). *)
 
 val next_event_time : t -> Time.t option
 (** Timestamp of the earliest pending event, if any. *)

@@ -73,7 +73,6 @@ type edge = {
   mutable e_name : string array;
   mutable e_fn : (unit -> unit) array;
   mutable e_dirty : bool; (* queued on its source shard's dirty list *)
-  mutable e_msgs : int; (* lifetime messages (observability) *)
 }
 
 type shard_st = {
@@ -113,7 +112,6 @@ type t = {
   mutable messages : int;
   mutable batch_max : int;
   mutable extended_horizons : int;
-  mutable errs : (int * exn) list; (* shards that died during [run] *)
 }
 
 (* Wall clock for the inline-vs-parallel work estimate (policy only —
@@ -134,7 +132,6 @@ let dummy_edge =
     e_name = [||];
     e_fn = [||];
     e_dirty = false;
-    e_msgs = 0;
   }
 
 let create ?(lookahead = Time.ns 1) ?(seed = 42) ?seed_of ~shards () =
@@ -144,9 +141,8 @@ let create ?(lookahead = Time.ns 1) ?(seed = 42) ?seed_of ~shards () =
   let lookahead = max 1 lookahead in
   (* Distinct deterministic seed per shard: a function of (seed, index)
      only, so shard streams never depend on the domain layout.
-     [seed_of] overrides the derivation — e.g. a batch of formerly
-     sequential, independent simulations wanting every shard to see the
-     same engine seed those sims always had. *)
+     [seed_of] overrides the derivation — e.g. node shards of one
+     deployment that should all see the seed a lone engine would. *)
   let seed_of =
     match seed_of with Some f -> f | None -> fun i -> seed + (1000003 * i)
   in
@@ -167,14 +163,12 @@ let create ?(lookahead = Time.ns 1) ?(seed = 42) ?seed_of ~shards () =
     messages = 0;
     batch_max = 0;
     extended_horizons = 0;
-    errs = [];
   }
 
 let shard_count t = Array.length t.shards
 let engine t i = t.shards.(i)
 let lookahead t = t.lookahead
 let windows_run t = t.windows
-let errors t = List.sort (fun (a, _) (b, _) -> compare a b) t.errs
 
 let stats t =
   {
@@ -186,12 +180,6 @@ let stats t =
     batch_max = t.batch_max;
     extended_horizons = t.extended_horizons;
   }
-
-let edge_messages t =
-  Hashtbl.fold
-    (fun k e acc -> if e.e_msgs > 0 then (k, e.e_msgs) :: acc else acc)
-    t.edge_tbl []
-  |> List.sort compare
 
 let counters_record t =
   (* Only the domain-layout-independent subset goes to the global
@@ -223,7 +211,6 @@ let connect ?lookahead t ~src ~dst =
         e_name = [||];
         e_fn = [||];
         e_dirty = false;
-        e_msgs = 0;
       }
     in
     Hashtbl.add t.edge_tbl (src, dst) e;
@@ -233,9 +220,7 @@ let connect ?lookahead t ~src ~dst =
 (* All-pairs shortest lookahead distances (Floyd–Warshall; shard counts
    are small).  [dist.(i).(j)] bounds from below how long any chain of
    cross-shard messages from [i] takes to reach [j]: a relay woken at
-   [t] forwards no earlier than [t + lookahead] per hop.  Dead shards
-   are kept as relays — they never forward, so real paths are only
-   longer than these distances, which keeps every bound conservative. *)
+   [t] forwards no earlier than [t + lookahead] per hop. *)
 let refresh_paths t =
   let n = Array.length t.shards in
   let d = Array.make_matrix n n inf in
@@ -348,7 +333,6 @@ let drain t =
             for k = 0 to e.e_cnt - 1 do
               push e.e_at.(k) e k
             done;
-            e.e_msgs <- e.e_msgs + e.e_cnt;
             e.e_dirty <- false)
           dirty
   done;
@@ -402,41 +386,26 @@ let drain t =
     done
   end
 
-let run ?(domains = 1) ?deadline ?(keep_going = false) ?(grain = 96) t =
+let run ?(domains = 1) ?(grain = 96) t =
   let n = Array.length t.shards in
   let domains = max 1 (min domains n) in
   if t.paths_stale then refresh_paths t;
-  t.errs <- [];
-  (* A shard whose window raised is dead: its engine state is
-     inconsistent, so it executes nothing further and can never send
-     again.  The exception is reported through {!errors} (and re-raised
-     at the end unless [keep_going]), while the other shards run to
-     completion. *)
-  let dead = Array.make n false in
+  (* A shard whose window raises leaves its engine inconsistent, so the
+     run stops.  The exception is caught where it happens (a worker
+     domain must still release its claim) and, once every shard of the
+     window is done, the lowest failing shard's is re-raised; the
+     [finally] below joins the pool first. *)
   let shard_exn : exn option array = Array.make n None in
   let nexts = Array.make n inf in
   let work j =
     try
-      match deadline with
-      | Some d when nexts.(j) > d ->
-          (* Nothing below the deadline remains: clamp the clock and
-             discard, exactly like [Engine.run ~deadline]. *)
-          Engine.run ~deadline:d t.shards.(j)
-      | _ ->
-          ignore
-            (Engine.run_until_dyn ?deadline t.shards.(j)
-               ~bound:t.st.(j).s_bound
-              : Time.t option)
+      ignore
+        (Engine.run_until_dyn t.shards.(j) ~bound:t.st.(j).s_bound
+          : Time.t option)
     with e -> shard_exn.(j) <- Some e
   in
   let after_window () =
-    for j = 0 to n - 1 do
-      match shard_exn.(j) with
-      | Some e when not dead.(j) ->
-          dead.(j) <- true;
-          t.errs <- (j, e) :: t.errs
-      | _ -> ()
-    done
+    Array.iter (function Some e -> raise e | None -> ()) shard_exn
   in
   (* Lazily created persistent worker pool.  A round is published as:
      runnable set + bounds (plain writes), then a generation bump under
@@ -564,11 +533,9 @@ let run ?(domains = 1) ?deadline ?(keep_going = false) ?(grain = 96) t =
         let busy = ref 0 in
         for j = 0 to n - 1 do
           nexts.(j) <-
-            (if dead.(j) then inf
-             else
-               match Engine.next_event_time t.shards.(j) with
-               | Some ts -> ts
-               | None -> inf);
+            (match Engine.next_event_time t.shards.(j) with
+            | Some ts -> ts
+            | None -> inf);
           if nexts.(j) < inf then incr busy
         done;
         if !busy = 0 then finished := true
@@ -580,38 +547,28 @@ let run ?(domains = 1) ?deadline ?(keep_going = false) ?(grain = 96) t =
              runnable. *)
           runnable_cnt := 0;
           for j = 0 to n - 1 do
-            if not dead.(j) then begin
-              let static = ref inf in
-              for b = 0 to n - 1 do
-                if b <> j && nexts.(b) < inf && not dead.(b) then begin
-                  let v = nexts.(b) + t.dist.(b).(j) in
-                  if v < !static then static := v
-                end
-              done;
-              if nexts.(j) < inf then begin
-                (* Busy: runnable unless its whole window is empty. *)
-                let past_deadline =
-                  match deadline with Some d -> nexts.(j) > d | None -> false
-                in
-                if nexts.(j) < !static || past_deadline then begin
-                  if !static >= inf then
-                    t.extended_horizons <- t.extended_horizons + 1;
-                  t.st.(j).s_bound := !static;
-                  runnable.(!runnable_cnt) <- j;
-                  incr runnable_cnt
-                end
+            let static = ref inf in
+            for b = 0 to n - 1 do
+              if b <> j && nexts.(b) < inf then begin
+                let v = nexts.(b) + t.dist.(b).(j) in
+                if v < !static then static := v
               end
-              else if !static < inf then begin
-                (* Idle: ratchet the clock to the conservative bound so
-                   a later wake-up cannot land in this shard's past. *)
-                let upto =
-                  match deadline with
-                  | Some d -> min d !static
-                  | None -> !static
-                in
-                Engine.fast_forward t.shards.(j) ~upto;
-                t.fast_forwards <- t.fast_forwards + 1
+            done;
+            if nexts.(j) < inf then begin
+              (* Busy: runnable unless its whole window is empty. *)
+              if nexts.(j) < !static then begin
+                if !static >= inf then
+                  t.extended_horizons <- t.extended_horizons + 1;
+                t.st.(j).s_bound := !static;
+                runnable.(!runnable_cnt) <- j;
+                incr runnable_cnt
               end
+            end
+            else if !static < inf then begin
+              (* Idle: ratchet the clock to the conservative bound so a
+                 later wake-up cannot land in this shard's past. *)
+              Engine.fast_forward t.shards.(j) ~upto:!static;
+              t.fast_forwards <- t.fast_forwards + 1
             end
           done;
           (* The shard holding the globally minimal next event is always
@@ -641,6 +598,4 @@ let run ?(domains = 1) ?deadline ?(keep_going = false) ?(grain = 96) t =
           end;
           after_window ()
         end
-      done);
-  if not keep_going then
-    match errors t with (_, e) :: _ -> raise e | [] -> ()
+      done)

@@ -37,8 +37,7 @@
     process-global hooks (the fault-injection hook, lease and oplog
     observers, robustness counters) are {!Engine.Local} engine-local:
     installed from inside a shard's process they bind to that shard
-    only, so independent fault-injection scenarios may run as parallel
-    shards.  One {e deployment} under fault injection still spans a
+    only.  One {e deployment} under fault injection still spans a
     single shard: the injection hook is per-engine, not per-edge. *)
 
 type t
@@ -83,9 +82,7 @@ val send :
     shard's window bound (see the adaptive horizon above).
     @raise Invalid_argument if the edge was never {!connect}ed. *)
 
-val run :
-  ?domains:int -> ?deadline:Time.t -> ?keep_going:bool -> ?grain:int ->
-  t -> unit
+val run : ?domains:int -> ?grain:int -> t -> unit
 (** Drive every shard to completion.  [domains] (default 1, clamped to
     the shard count) is the number of OS domains available to execute
     windows; see the determinism contract above.  Worker domains are
@@ -102,19 +99,10 @@ val run :
     multi-shard window onto the pool — a test hook for the barrier
     path.  The prediction influences scheduling only, never results.
 
-    [deadline] bounds every shard's clock exactly like
-    [Engine.run ~deadline]: events past it are discarded and the
-    shard's clock is left at the deadline.
-
-    A shard whose window raises is marked dead: it executes nothing
-    further, stops constraining its downstream shards, and its
-    exception is recorded in {!errors}.  Unless [keep_going] is set
-    (default false), the first such exception (lowest shard index) is
-    re-raised after all remaining shards finish. *)
-
-val errors : t -> (int * exn) list
-(** Shards that died during the last {!run}, sorted by shard index.
-    Empty on a clean run. *)
+    A shard whose window raises ends the run: once every shard of that
+    window has finished and the worker domains are joined, the
+    exception of the lowest-indexed failing shard is re-raised.  The
+    runner cannot be resumed after that. *)
 
 val windows_run : t -> int
 (** Number of synchronization windows executed so far (diagnostics). *)
@@ -140,10 +128,6 @@ val stats : t -> stats
     [messages], [batch_max] and [extended_horizons] are identical at
     every domain count; [parallel_windows] and [barrier_waits] depend
     on [?domains], [?grain] and the machine. *)
-
-val edge_messages : t -> ((int * int) * int) list
-(** Lifetime messages per (src, dst) edge, sorted; edges that never
-    carried a message are omitted. *)
 
 val counters_record : t -> unit
 (** Record the domain-layout-independent subset of {!stats}

@@ -10,64 +10,33 @@
 # The adversary sweep runs the Byzantine-fabric profile (duplication,
 # reordering, corruption, torn oplog tails, bit-rot) over 50 seeds
 # with its own determinism re-check.
-# Finally the multicore smoke: the scaled figures executed over 4
-# domains (plus a multi-instance linefs_sim run whose per-instance
-# outputs must match byte-for-byte, and a per-node sharded deployment
-# whose output must be byte-identical at 1 and 4 domains), and the
-# scale smoke: an 8-node rack of replica groups with cohort clients,
-# byte-identical at 1 and 4 domains with the cross-shard message
-# coalescer demonstrably batching, and a 24-node rack at 2 domains run
-# three times against 1 domain.  These check correctness of the
-# parallel windows, not speed — the events/s trajectory is bench.sh's
-# job.  The committed BENCH_wallclock.json is validated up front: it
-# must carry the harness's gates object with every gate evaluated and
-# above its recorded floor.  The fault-injection sweeps run over 4
-# domains too: the injection hook and observers are engine-local, so
-# independent scenarios batch as parallel shards (dst_sweep
-# cross-checks one batched fingerprint against a sequential run).
+# Then the host-time benchmark's smoke: every hostbench workload at
+# 1/50 size, its simulated outputs checked against hostbench/pins.json
+# and every metric name printed.
+# Finally the multicore smokes: a per-node sharded deployment whose
+# output must be byte-identical at 1 and 4 domains, an 8-node rack of
+# replica groups with cohort clients, byte-identical at 1 and 4
+# domains with the cross-shard message coalescer demonstrably
+# batching, and a 24-node rack at 2 domains run three times against
+# 1 domain.  These check correctness of the parallel windows, not
+# speed; host time is hostbench's job.
 set -eu
 cd "$(dirname "$0")/.."
 
 dune build
 dune runtest --force
-dune exec bin/dst_sweep.exe -- "${DST_SEEDS:-12}" --domains 4
-dune exec bin/dst_sweep.exe -- --adversary "${ADVERSARY_SEEDS:-50}" --domains 4
+dune exec bin/dst_sweep.exe -- "${DST_SEEDS:-12}"
+dune exec bin/dst_sweep.exe -- --adversary "${ADVERSARY_SEEDS:-50}"
 dune exec bin/litmus_sweep.exe -- \
   --differ-seeds "${LITMUS_SEEDS:-50}" \
   --litmus-seeds "${LITMUS_SEEDS:-50}" \
   --out "${LITMUS_OUT:-_litmus_reports}"
 dune exec bin/litmus_sweep.exe -- --mutate --out "${LITMUS_OUT:-_litmus_reports}"
 
-# ---- committed bench JSON gate ----------------------------------------
-# BENCH_wallclock.json is a committed artifact: refuse one produced by
-# a smoke-mode run, with gates skipped, or with any gate below its
-# floor.  The harness records exactly which gates it evaluated and at
-# what (core-count-aware) floor, so this is a pure consistency check —
-# no re-measurement.
-grep -q '"gates"' BENCH_wallclock.json || {
-  echo "FAIL: committed BENCH_wallclock.json has no gates object" \
-       "(regenerate with scripts/bench.sh)"
-  exit 1
-}
-grep -q '"mode": "smoke"' BENCH_wallclock.json && {
-  echo "FAIL: committed BENCH_wallclock.json came from a smoke run"
-  exit 1
-}
-grep -q '"evaluated": false' BENCH_wallclock.json && {
-  echo "FAIL: committed BENCH_wallclock.json has skipped gates:"
-  grep '"evaluated": false' BENCH_wallclock.json
-  exit 1
-}
-grep -q '"pass": false' BENCH_wallclock.json && {
-  echo "FAIL: committed BENCH_wallclock.json has gates below floor:"
-  grep '"pass": false' BENCH_wallclock.json
-  exit 1
-}
-echo "committed-bench gate: all gates evaluated and above floor"
+# ---- host-time benchmark smoke ----------------------------------------
+python3 hostbench/run.py --smoke
 
 # ---- multicore smoke --------------------------------------------------
-dune exec bin/linefs_sim.exe -- --file-mb 16 --instances 4 --domains 4
-
 # Per-node sharded deployment: one scaled fig4-style cell, domains 1
 # vs 4, output byte-identical (clocks, throughput, event counters).
 dune exec bin/linefs_sim.exe -- --file-mb 16 --shard-deployment --domains 1 \
@@ -125,7 +94,3 @@ for run in 1 2 3; do
 done
 rm -f _rack24_d1.txt _rack24_d2.txt
 echo "rack smoke: 24-node rack byte-identical at 1 and 2 domains, 3 runs"
-
-dune exec bench/wallclock.exe -- \
-  --domains "${SMOKE_DOMAINS:-4}" --no-domain-probe -o _ci_wallclock.json
-rm -f _ci_wallclock.json

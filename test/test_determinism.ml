@@ -73,8 +73,9 @@ let test_params =
 
 (* Run [shards] independent LineFS deployments, one per shard, each
    writing a seed-dependent amount of data, and return the final
-   primary-FS digest of each. *)
-let digests ~shards ~seed ~domains =
+   primary-FS digest of each with the number of windows that ran on
+   the worker pool. *)
+let digests ?grain ~shards ~seed ~domains () =
   let sh = Sharded.create ~seed ~shards () in
   let out = Array.make shards None in
   for i = 0 to shards - 1 do
@@ -91,19 +92,25 @@ let digests ~shards ~seed ~domains =
         Deployment.stop d;
         out.(i) <- Some dg)
   done;
-  Sharded.run ~domains sh;
-  Array.map
-    (function Some d -> d | None -> Alcotest.fail "shard did not finish")
-    out
+  Sharded.run ?grain ~domains sh;
+  ( Array.map
+      (function Some d -> d | None -> Alcotest.fail "shard did not finish")
+      out,
+    (Sharded.stats sh).Sharded.parallel_windows )
 
+(* The shards share no edges, so the whole run is one window, which the
+   inline policy would keep on the coordinator; [grain:0] puts it on
+   worker domains. *)
 let prop_digest_domain_independent =
   QCheck.Test.make
     ~name:"fault-free digests identical at domains=1 and domains=4" ~count:4
     QCheck.(int_range 0 1000)
     (fun seed ->
-      let d1 = digests ~shards:3 ~seed ~domains:1 in
-      let d4 = digests ~shards:3 ~seed ~domains:4 in
-      d1 = d4)
+      let d1, _ = digests ~shards:3 ~seed ~domains:1 () in
+      let d4, parallel = digests ~grain:0 ~shards:3 ~seed ~domains:4 () in
+      if parallel = 0 then
+        QCheck.Test.fail_report "domains=4 never ran a window on the pool"
+      else d1 = d4)
 
 (* ------------------------------------------------------------------ *)
 (* Per-node sharded deployment                                         *)
