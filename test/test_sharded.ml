@@ -117,6 +117,26 @@ let test_per_edge_lookahead () =
         (Some (Time.ms 2)) slow)
     [ 1; 2 ]
 
+(* Re-declaring an edge changes nothing: the first declaration's
+   lookahead still clamps the delay, whether the later one asks for a
+   longer lookahead or for the runner default. *)
+let test_connect_keeps_first_lookahead () =
+  List.iter
+    (fun domains ->
+      let s = Sharded.create ~lookahead:(Time.us 1) ~shards:2 () in
+      Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 5);
+      Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.ms 1);
+      Sharded.connect s ~src:0 ~dst:1;
+      let at = ref None in
+      Sharded.spawn_root s ~shard:0 (fun () ->
+          Sharded.send s ~src:0 ~dst:1 ~delay:(Time.us 1) ~name:"hop"
+            (fun () -> at := Some (Engine.now ())));
+      Sharded.run ~domains s;
+      Alcotest.(check (option int))
+        (Printf.sprintf "first lookahead us 5 wins (domains=%d)" domains)
+        (Some (Time.us 5)) !at)
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Shard failure: the exception reaches the caller                     *)
 (* ------------------------------------------------------------------ *)
@@ -409,6 +429,8 @@ let () =
           tc "send requires a connected edge" `Quick test_send_requires_edge;
           tc "per-edge lookahead clamps per edge" `Quick
             test_per_edge_lookahead;
+          tc "connect keeps the first lookahead" `Quick
+            test_connect_keeps_first_lookahead;
           tc "busy poller with idle peer terminates" `Quick
             test_busy_poller_with_idle_peer;
           tc "adaptive horizon: one window per hop" `Quick
