@@ -1,17 +1,11 @@
 (* Bechamel micro-benchmarks of the core data structures and codecs —
-   the real-CPU building blocks underneath the simulated datapath. *)
+   the real-CPU building blocks underneath the simulated datapath.
+   Only kernels with no counterpart among hostbench's [ledger.*] probes
+   live here; the ledger times engine dispatch, the heap, rope CRC32
+   and LZW, rope concat and extent-map inserts. *)
 
 open Bechamel
 open Toolkit
-
-let extent_map_insert =
-  Test.make ~name:"extent_map.insert-1k"
-    (Staged.stage (fun () ->
-         let m = Storage.Extent_map.create () in
-         for i = 0 to 999 do
-           Storage.Extent_map.insert m ~at:(i * 64)
-             (Storage.Data.zero ~len:64) i
-         done))
 
 let extent_map_lookup =
   let m = Storage.Extent_map.create () in
@@ -52,59 +46,6 @@ let oplog_roundtrip =
          | Ok _ -> ()
          | Error e -> failwith e))
 
-let sim_events =
-  Test.make ~name:"sim.10k-events"
-    (Staged.stage (fun () ->
-         let eng = Sim.Engine.create () in
-         Sim.Engine.spawn_root eng (fun () ->
-             for _ = 1 to 10_000 do
-               Sim.Engine.sleep 10
-             done);
-         Sim.Engine.run eng))
-
-(* -- data-plane kernels (the hot paths of the zero-copy rewrite) ----- *)
-
-(* A replication-chunk-shaped payload: a mix of real, synthetic and
-   zero pieces, concatenated into one rope. *)
-let mixed_pieces ~piece ~count =
-  List.init count (fun i ->
-      match i mod 3 with
-      | 0 ->
-          let b = Bytes.create piece in
-          for j = 0 to piece - 1 do
-            Bytes.unsafe_set b j (Char.unsafe_chr ((i + (j * 7)) land 0xFF))
-          done;
-          Storage.Data.real b
-      | 1 -> Storage.Data.synthetic ~seed:(i + 1) ~len:piece
-      | _ -> Storage.Data.zero ~len:piece)
-
-let data_concat_traverse =
-  let pieces = mixed_pieces ~piece:16384 ~count:64 in
-  let dst = Bytes.create (16384 * 64) in
-  Test.make ~name:"data.concat+blit-1MiB-64pieces"
-    (Staged.stage (fun () ->
-         let d = Storage.Data.concat pieces in
-         Storage.Data.blit_to d ~src_pos:0 ~dst ~dst_pos:0
-           ~len:(Storage.Data.length d)))
-
-let crc32_rope_1m =
-  let d = Storage.Data.concat (mixed_pieces ~piece:16384 ~count:64) in
-  Test.make ~name:"crc32.data-1MiB-rope"
-    (Staged.stage (fun () -> ignore (Storage.Crc32.data d : int32)))
-
-let lzw_encode_data_256k =
-  let rng = Sim.Rng.create 7 in
-  let d =
-    Storage.Data.concat
-      (List.init 4 (fun _ ->
-           Storage.Data.fill_ratio
-             (Storage.Data.zero ~len:65536)
-             ~zeros:0.6 ~rng))
-  in
-  Test.make ~name:"lzw.encode_data-256KiB-rope"
-    (Staged.stage (fun () ->
-         ignore (Compress.Lzw.encoded_length_data d : int)))
-
 let lzw_decode_256k =
   let rng = Sim.Rng.create 9 in
   let enc =
@@ -117,30 +58,13 @@ let lzw_decode_256k =
   Test.make ~name:"lzw.decode-256KiB"
     (Staged.stage (fun () -> ignore (Compress.Lzw.decode enc : Bytes.t)))
 
-let heap_churn =
-  Test.make ~name:"heap.push+pop-10k"
-    (Staged.stage (fun () ->
-         let h = Sim.Heap.create () in
-         for i = 0 to 9_999 do
-           Sim.Heap.push h ~key:(i * 7919 mod 10_000) ~seq:i i
-         done;
-         while not (Sim.Heap.is_empty h) do
-           ignore (Sim.Heap.pop h : (int * int * int) option)
-         done))
-
 let all_tests =
   [
-    extent_map_insert;
     extent_map_lookup;
     crc32_4k;
     lzw_encode_64k;
     oplog_roundtrip;
-    sim_events;
-    data_concat_traverse;
-    crc32_rope_1m;
-    lzw_encode_data_256k;
     lzw_decode_256k;
-    heap_churn;
   ]
 
 let run () =

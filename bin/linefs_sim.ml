@@ -135,6 +135,27 @@ let workload_body (name, client_ops, node_of, total_dfs_cpu, teardown)
   stop_bg ();
   teardown ()
 
+(* After a sharded run: fold every shard's counters into the global
+   table and print the deployment line.  Neither carries a domain
+   count, so stdout stays byte-identical when only [--domains]
+   changes; the cross-shard sync detail goes to stderr, since
+   [parallel] and [barrier-waits] depend on the domain count and the
+   machine. *)
+let report_sharded sh =
+  for i = 0 to Sharded.shard_count sh - 1 do
+    Counters.merge (Sharded.engine sh i)
+  done;
+  Sharded.counters_record sh;
+  Fmt.pr "sharded deployment: %d node shards, %d windows@."
+    (Sharded.shard_count sh) (Sharded.windows_run sh);
+  let s = Sharded.stats sh in
+  Fmt.epr
+    "sharded sync: windows=%d parallel=%d barrier-waits=%d fast-forward=%d \
+     messages=%d batch-max=%d horizon-extended=%d@."
+    s.Sharded.windows s.Sharded.parallel_windows s.Sharded.barrier_waits
+    s.Sharded.fast_forwards s.Sharded.messages s.Sharded.batch_max
+    s.Sharded.extended_horizons
+
 (* Rack-scale run: [nodes] machines as independent replica groups of
    [group_size] on one sharded runner (one shard per node, no
    cross-group edges), each group driven by a cohort of [cohort]
@@ -151,10 +172,6 @@ let run_rack ~nodes ~group_size ~cohort ~file_mb ~io_kb ~domains params =
       ~io_bytes:(io_kb * 1024) ()
   in
   Sharded.run ~domains sh;
-  for i = 0 to Sharded.shard_count sh - 1 do
-    Counters.merge (Sharded.engine sh i)
-  done;
-  Sharded.counters_record sh;
   let results = collect () in
   Array.iteri
     (fun grp r ->
@@ -180,15 +197,7 @@ let run_rack ~nodes ~group_size ~cohort ~file_mb ~io_kb ~domains params =
     (written / 1024 / 1024)
     Time.pp slowest
     (float_of_int written /. Time.to_sec_f slowest /. 1e9);
-  Fmt.pr "sharded deployment: %d node shards, %d windows@."
-    (Sharded.shard_count sh) (Sharded.windows_run sh);
-  let s = Sharded.stats sh in
-  Fmt.epr
-    "sharded sync: windows=%d parallel=%d barrier-waits=%d fast-forward=%d \
-     messages=%d batch-max=%d horizon-extended=%d@."
-    s.Sharded.windows s.Sharded.parallel_windows s.Sharded.barrier_waits
-    s.Sharded.fast_forwards s.Sharded.messages s.Sharded.batch_max
-    s.Sharded.extended_horizons
+  report_sharded sh
 
 let run_bench system workload clients file_mb io_kb log_mb files duration_ms
     busy latency_mode domains shard_deployment nodes group_size cohort =
@@ -218,24 +227,7 @@ let run_bench system workload clients file_mb io_kb log_mb files duration_ms
     let sys = make_system ~sharding:(sh, 0) system busy params in
     Sharded.spawn_root ~name:"bench" sh ~shard:0 (body sys);
     Sharded.run ~domains sh;
-    for i = 0 to Sharded.shard_count sh - 1 do
-      Counters.merge (Sharded.engine sh i)
-    done;
-    Sharded.counters_record sh;
-    (* No domain count in this line: the output must stay byte-identical
-       when only [--domains] changes. *)
-    Fmt.pr "sharded deployment: %d node shards, %d windows@."
-      (Sharded.shard_count sh) (Sharded.windows_run sh);
-    (* Cross-shard sync detail goes to stderr: [parallel] and
-       [barrier-waits] depend on the domain count and the machine, and
-       stdout must stay byte-identical when only [--domains] changes. *)
-    let s = Sharded.stats sh in
-    Fmt.epr
-      "sharded sync: windows=%d parallel=%d barrier-waits=%d \
-       fast-forward=%d messages=%d batch-max=%d horizon-extended=%d@."
-      s.Sharded.windows s.Sharded.parallel_windows s.Sharded.barrier_waits
-      s.Sharded.fast_forwards s.Sharded.messages s.Sharded.batch_max
-      s.Sharded.extended_horizons
+    report_sharded sh
   end
   else begin
     let eng = Engine.create () in

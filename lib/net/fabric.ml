@@ -25,7 +25,7 @@ let start ~name (node : Hw.Node.t) f =
       let out = ref None in
       Sim.Sharded.spawn_root ~name sh ~shard (fun () -> out := Some (f ()));
       ignore
-        (Sim.Engine.run_until (Sim.Sharded.engine sh shard) ~bound:1
+        (Sim.Engine.run_until (Sim.Sharded.engine sh shard) ~bound:(ref 1)
           : Sim.Time.t option);
       match !out with
       | Some v -> v

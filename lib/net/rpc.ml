@@ -240,6 +240,34 @@ let msg_bytes = 64
 let send_req t ~iv ~key ~tainted ~crc req =
   Mailbox.send t.inbox (Req { req; iv; key; tainted; crc })
 
+(* The request half shared by {!call} and {!call_timeout}, for every
+   verdict that lets the request through: the injected delay, the
+   transfer, the sequence key and CRC trailer, and the copies the
+   verdict puts on the wire.  Returns the reply slot. *)
+let request t ~from ~bytes ?key verdict req =
+  (match verdict with
+  | Inject.Delay d | Inject.Reorder d -> Engine.sleep d
+  | Inject.Pass | Inject.Duplicate | Inject.Corrupt _ | Inject.Drop -> ());
+  Rdma.move ~src:from ~dst:t.loc bytes;
+  let key =
+    match key with
+    | Some _ -> key
+    | None -> if Inject.active () then Some (fresh_key ~from) else None
+  in
+  let crc = sender_crc t req in
+  let iv = Ivar.create () in
+  let send tainted = send_req t ~iv:(Some iv) ~key ~tainted ~crc req in
+  (match verdict with
+  | Inject.Corrupt { offset; xor } -> send (Some (offset, xor))
+  | Inject.Duplicate ->
+      (* The fabric retransmits the frame: wire paid twice, the
+         server sees two copies of the same sequence number. *)
+      Rdma.move ~src:from ~dst:t.loc bytes;
+      send None;
+      send None
+  | Inject.Pass | Inject.Delay _ | Inject.Reorder _ | Inject.Drop -> send None);
+  iv
+
 let call t ~from ?(bytes = msg_bytes) req =
   Wire.check_local "Rpc.call" ~src:from ~dst:t.loc;
   match Inject.consult ~point:Inject.Rpc_call ~src:from ~dst:t.loc ~bytes with
@@ -252,59 +280,20 @@ let call t ~from ?(bytes = msg_bytes) req =
       Engine.suspend (fun (_ : 'resp -> unit) -> ())
   | (Inject.Pass | Inject.Delay _ | Inject.Reorder _ | Inject.Duplicate
     | Inject.Corrupt _) as v ->
-      (match v with
-      | Inject.Delay d | Inject.Reorder d -> Engine.sleep d
-      | _ -> ());
-      Rdma.move ~src:from ~dst:t.loc bytes;
-      let key = if Inject.active () then Some (fresh_key ~from) else None in
-      let crc = sender_crc t req in
-      let iv = Ivar.create () in
-      (match v with
-      | Inject.Corrupt { offset; xor } ->
-          send_req t ~iv:(Some iv) ~key ~tainted:(Some (offset, xor)) ~crc req
-      | Inject.Duplicate ->
-          (* The fabric retransmits the frame: wire paid twice, the
-             server sees two copies of the same sequence number. *)
-          Rdma.move ~src:from ~dst:t.loc bytes;
-          send_req t ~iv:(Some iv) ~key ~tainted:None ~crc req;
-          send_req t ~iv:(Some iv) ~key ~tainted:None ~crc req
-      | _ -> send_req t ~iv:(Some iv) ~key ~tainted:None ~crc req);
-      let resp = Ivar.read iv in
+      let resp = Ivar.read (request t ~from ~bytes v req) in
       Rdma.move ~src:t.loc ~dst:from msg_bytes;
       resp
 
 let call_timeout t ~from ?(bytes = msg_bytes) ?key ~timeout req =
   Wire.check_local "Rpc.call_timeout" ~src:from ~dst:t.loc;
-  let verdict =
-    Inject.consult ~point:Inject.Rpc_call ~src:from ~dst:t.loc ~bytes
-  in
-  match verdict with
+  match Inject.consult ~point:Inject.Rpc_call ~src:from ~dst:t.loc ~bytes with
   | Inject.Drop ->
       Rdma.move ~src:from ~dst:t.loc bytes;
       Engine.sleep timeout;
       None
   | (Inject.Pass | Inject.Delay _ | Inject.Reorder _ | Inject.Duplicate
     | Inject.Corrupt _) as v -> (
-      (match v with
-      | Inject.Delay d | Inject.Reorder d -> Engine.sleep d
-      | _ -> ());
-      Rdma.move ~src:from ~dst:t.loc bytes;
-      let key =
-        match key with
-        | Some _ as k -> k
-        | None -> if Inject.active () then Some (fresh_key ~from) else None
-      in
-      let crc = sender_crc t req in
-      let iv = Ivar.create () in
-      (match v with
-      | Inject.Corrupt { offset; xor } ->
-          send_req t ~iv:(Some iv) ~key ~tainted:(Some (offset, xor)) ~crc req
-      | Inject.Duplicate ->
-          Rdma.move ~src:from ~dst:t.loc bytes;
-          send_req t ~iv:(Some iv) ~key ~tainted:None ~crc req;
-          send_req t ~iv:(Some iv) ~key ~tainted:None ~crc req
-      | _ -> send_req t ~iv:(Some iv) ~key ~tainted:None ~crc req);
-      match Ivar.read_timeout iv timeout with
+      match Ivar.read_timeout (request t ~from ~bytes ?key v req) timeout with
       | None -> None
       | Some resp ->
           Rdma.move ~src:t.loc ~dst:from msg_bytes;

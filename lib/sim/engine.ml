@@ -324,33 +324,17 @@ let run ?deadline t =
   done
 
 (* Bounded drain for the sharded runner: execute every event strictly
-   below [bound], leave the rest queued.  Returns the timestamp of the
-   next pending event (the shard's contribution to the next global
-   synchronization bound). *)
+   below [!bound], leave the rest queued, and return the timestamp of
+   the next pending event (the shard's contribution to the next global
+   synchronization bound).  The bound is re-read before every event, so
+   code executed by the events themselves may tighten it mid-window.
+   The sharded runner uses this for its adaptive horizon: a shard that
+   has sent nothing this window runs unbounded by its own echo, and its
+   first cross-shard send drops the bound to the earliest instant a
+   consequence of that send could return.  Execution is time-ordered,
+   so every event already executed when the bound drops is at or before
+   the send time — never beyond the new bound. *)
 let run_until t ~bound =
-  with_current t @@ fun () ->
-  t.stopped <- false;
-  let running = ref true in
-  while !running && not t.stopped do
-    if Heap.is_empty t.events then running := false
-    else begin
-      let time = Heap.top_key t.events in
-      if time < bound then exec_event t time (Heap.pop_top t.events)
-      else running := false
-    end
-  done;
-  Heap.peek_key t.events
-
-(* Like [run_until] but the bound is read through a reference before
-   every event, so code executed by the events themselves may tighten
-   it mid-window.  The sharded runner uses this for its adaptive
-   horizon: a shard that has sent nothing this window runs unbounded
-   by its own echo, and its first cross-shard send drops the bound to
-   the earliest instant a consequence of that send could return.
-   Execution is time-ordered, so every event already executed when the
-   bound drops is at or before the send time — never beyond the new
-   bound. *)
-let run_until_dyn t ~bound =
   with_current t @@ fun () ->
   t.stopped <- false;
   let running = ref true in

@@ -98,18 +98,15 @@ val stop : t -> unit
 (** Request that {!run} return after the current event; pending events
     are kept (a subsequent [run] resumes them). Callable from processes. *)
 
-val run_until : t -> bound:Time.t -> Time.t option
-(** Execute every pending event with timestamp strictly below [bound]
+val run_until : t -> bound:Time.t ref -> Time.t option
+(** Execute every pending event with timestamp strictly below [!bound]
     and return the timestamp of the next pending event (or [None] when
-    drained).  Events at or beyond [bound] stay queued; a later
-    [run_until] or {!run} resumes them. *)
-
-val run_until_dyn : t -> bound:Time.t ref -> Time.t option
-(** Like {!run_until}, but [bound] is re-read before every event, so
-    code run by the events (e.g. {!Sharded.send}) may tighten it
-    mid-window; execution is time-ordered, so nothing already executed
-    can lie beyond a bound lowered by the event that just ran.  This is
-    the per-window drain of the sharded runner ({!Sharded}). *)
+    drained).  Events at or beyond the bound stay queued; a later
+    [run_until] or {!run} resumes them.  [bound] is re-read before every
+    event, so code run by the events (e.g. {!Sharded.send}) may tighten
+    it mid-window; execution is time-ordered, so nothing already
+    executed can lie beyond a bound lowered by the event that just ran.
+    This is the per-window drain of the sharded runner ({!Sharded}). *)
 
 val next_event_time : t -> Time.t option
 (** Timestamp of the earliest pending event, if any. *)

@@ -3,11 +3,11 @@
 
    Each shard owns a private {!Engine.t}; shards interact only through
    declared, latency-carrying edges.  Execution proceeds in windows:
-   between windows the coordinator drains every edge's buffer and
-   injects the messages into the destination engines in a canonical
-   order (delivery time, src, dst, per-edge sequence); within a window
-   each shard executes only events that nothing another shard has yet
-   to do could invalidate, so no rollback is ever needed.
+   between windows the coordinator drains every shard's outbox into
+   the destination engines, and each destination runs the messages in
+   a canonical order (delivery time, src, per-edge sequence); within a
+   window each shard executes only events that nothing another shard
+   has yet to do could invalidate, so no rollback is ever needed.
 
    The window bound is where this runner differs from the textbook
    scheme.  Shard [j]'s horizon has two parts:
@@ -55,34 +55,9 @@
    never overflow. *)
 let inf = max_int / 4
 
-type edge = {
-  e_src : int;
-  e_dst : int;
-  e_lookahead : Time.t;
-  mutable e_ret : Time.t;
-      (* dist(dst -> src): soonest an echo of a message on this edge can
-         come back, measured from the message's delivery time.  [inf]
-         when no return path exists.  Refreshed with the distance
-         matrix. *)
-  (* Reusable coalescing buffer: all same-window messages on this edge,
-     in send order (the per-edge sequence is the index).  Parallel
-     arrays, grown geometrically, never shrunk — steady-state drains
-     allocate nothing. *)
-  mutable e_cnt : int;
-  mutable e_at : Time.t array;
-  mutable e_name : string array;
-  mutable e_fn : (unit -> unit) array;
-  mutable e_dirty : bool; (* queued on its source shard's dirty list *)
-}
-
-type shard_st = {
-  s_bound : Time.t ref;
-      (* The shard's current window bound, read by [Engine.run_until_dyn]
-         before every event and lowered by [send] when an echo horizon
-         appears.  Written only by the domain executing the shard (and
-         by the coordinator between windows, across the round barrier). *)
-  mutable s_dirty : edge list; (* out-edges holding buffered messages *)
-}
+(* One cross-shard message, buffered on its source shard's outbox until
+   the next barrier. *)
+type msg = { dst : int; at : Time.t; name : string; fn : unit -> unit }
 
 type stats = {
   windows : int;
@@ -96,15 +71,22 @@ type stats = {
 
 type t = {
   shards : Engine.t array;
-  lookahead : Time.t; (* default for edges that do not override *)
-  edge_tbl : (int * int, edge) Hashtbl.t;
-  st : shard_st array;
-  mutable dist : Time.t array array; (* all-pairs lookahead distances *)
+  la : Time.t array array;
+      (* [la.(src).(dst)]: the edge's lookahead, [inf] if undeclared. *)
+  dist : Time.t array array;
+      (* All-pairs lookahead distances, recomputed at [run] when an edge
+         was added.  All [inf] before the first [run], so a send made
+         then (a node's t = 0 boot) sees no echo path. *)
+  bounds : Time.t ref array;
+      (* Each shard's current window bound, read by [Engine.run_until]
+         before every event and lowered by [send] when an echo horizon
+         appears.  Written only by the domain executing the shard (and
+         by the coordinator between windows, across the round barrier). *)
+  outbox : msg list array;
+      (* Each shard's sends since the last barrier, newest first.  The
+         domain executing the shard is the only writer; the coordinator
+         drains it across the round barrier. *)
   mutable paths_stale : bool;
-  (* Reusable drain gather buffers (parallel arrays). *)
-  mutable g_at : Time.t array;
-  mutable g_edge : edge array;
-  mutable g_idx : int array;
   mutable windows : int;
   mutable parallel_windows : int;
   mutable barrier_waits : int;
@@ -121,24 +103,8 @@ type t = {
 let wall_clock = ref Sys.time
 let set_clock f = wall_clock := f
 
-let dummy_edge =
-  {
-    e_src = -1;
-    e_dst = -1;
-    e_lookahead = 1;
-    e_ret = inf;
-    e_cnt = 0;
-    e_at = [||];
-    e_name = [||];
-    e_fn = [||];
-    e_dirty = false;
-  }
-
-let create ?(lookahead = Time.ns 1) ?(seed = 42) ?seed_of ~shards () =
+let create ?(seed = 42) ?seed_of ~shards () =
   if shards <= 0 then invalid_arg "Sharded.create: shards must be positive";
-  (* A zero lookahead admits same-timestamp cross-shard delivery into a
-     window already being executed; one tick is the smallest safe value. *)
-  let lookahead = max 1 lookahead in
   (* Distinct deterministic seed per shard: a function of (seed, index)
      only, so shard streams never depend on the domain layout.
      [seed_of] overrides the derivation — e.g. node shards of one
@@ -148,14 +114,11 @@ let create ?(lookahead = Time.ns 1) ?(seed = 42) ?seed_of ~shards () =
   in
   {
     shards = Array.init shards (fun i -> Engine.create ~seed:(seed_of i) ());
-    lookahead;
-    edge_tbl = Hashtbl.create 16;
-    st = Array.init shards (fun _ -> { s_bound = ref inf; s_dirty = [] });
-    dist = [||];
+    la = Array.make_matrix shards shards inf;
+    dist = Array.make_matrix shards shards inf;
+    bounds = Array.init shards (fun _ -> ref inf);
+    outbox = Array.make shards [];
     paths_stale = true;
-    g_at = [||];
-    g_edge = [||];
-    g_idx = [||];
     windows = 0;
     parallel_windows = 0;
     barrier_waits = 0;
@@ -167,7 +130,6 @@ let create ?(lookahead = Time.ns 1) ?(seed = 42) ?seed_of ~shards () =
 
 let shard_count t = Array.length t.shards
 let engine t i = t.shards.(i)
-let lookahead t = t.lookahead
 let windows_run t = t.windows
 
 let stats t =
@@ -193,27 +155,16 @@ let counters_record t =
     Counters.add "sharded.horizon-extended" t.extended_horizons
   end
 
-let connect ?lookahead t ~src ~dst =
+let connect t ~src ~dst ~lookahead =
   let n = Array.length t.shards in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Sharded.connect: shard index out of range";
   if src = dst then invalid_arg "Sharded.connect: self edge";
-  let la = max 1 (Option.value lookahead ~default:t.lookahead) in
-  if not (Hashtbl.mem t.edge_tbl (src, dst)) then begin
-    let e =
-      {
-        e_src = src;
-        e_dst = dst;
-        e_lookahead = la;
-        e_ret = inf;
-        e_cnt = 0;
-        e_at = [||];
-        e_name = [||];
-        e_fn = [||];
-        e_dirty = false;
-      }
-    in
-    Hashtbl.add t.edge_tbl (src, dst) e;
+  (* The first declaration wins.  A zero lookahead admits
+     same-timestamp cross-shard delivery into a window already being
+     executed; one tick is the smallest safe value. *)
+  if t.la.(src).(dst) = inf then begin
+    t.la.(src).(dst) <- max 1 lookahead;
     t.paths_stale <- true
   end
 
@@ -223,15 +174,11 @@ let connect ?lookahead t ~src ~dst =
    [t] forwards no earlier than [t + lookahead] per hop. *)
 let refresh_paths t =
   let n = Array.length t.shards in
-  let d = Array.make_matrix n n inf in
+  let d = t.dist in
   for i = 0 to n - 1 do
+    Array.blit t.la.(i) 0 d.(i) 0 n;
     d.(i).(i) <- 0
   done;
-  Hashtbl.iter
-    (fun _ e ->
-      if e.e_lookahead < d.(e.e_src).(e.e_dst) then
-        d.(e.e_src).(e.e_dst) <- e.e_lookahead)
-    t.edge_tbl;
   for k = 0 to n - 1 do
     for i = 0 to n - 1 do
       let dik = d.(i).(k) in
@@ -242,149 +189,45 @@ let refresh_paths t =
         done
     done
   done;
-  Hashtbl.iter (fun _ e -> e.e_ret <- d.(e.e_dst).(e.e_src)) t.edge_tbl;
-  t.dist <- d;
   t.paths_stale <- false
 
 let spawn_root ?name t ~shard f = Engine.spawn_root ?name t.shards.(shard) f
 
-let grow_edge e =
-  let cap = max 8 (2 * Array.length e.e_at) in
-  let at = Array.make cap 0 in
-  let name = Array.make cap "" in
-  let fn = Array.make cap ignore in
-  Array.blit e.e_at 0 at 0 e.e_cnt;
-  Array.blit e.e_name 0 name 0 e.e_cnt;
-  Array.blit e.e_fn 0 fn 0 e.e_cnt;
-  e.e_at <- at;
-  e.e_name <- name;
-  e.e_fn <- fn
-
 let send t ~src ~dst ?(delay = 0) ~name fn =
-  let edge =
-    match Hashtbl.find_opt t.edge_tbl (src, dst) with
-    | Some e -> e
-    | None -> invalid_arg "Sharded.send: edge not connected"
-  in
-  let delay = max delay edge.e_lookahead in
-  let at = Engine.current_time t.shards.(src) + delay in
-  if edge.e_cnt >= Array.length edge.e_at then grow_edge edge;
-  let k = edge.e_cnt in
-  edge.e_at.(k) <- at;
-  edge.e_name.(k) <- name;
-  edge.e_fn.(k) <- fn;
-  edge.e_cnt <- k + 1;
-  let st = t.st.(src) in
-  if not edge.e_dirty then begin
-    edge.e_dirty <- true;
-    st.s_dirty <- edge :: st.s_dirty
-  end;
+  let la = t.la.(src).(dst) in
+  if la = inf then invalid_arg "Sharded.send: edge not connected";
+  let at = Engine.current_time t.shards.(src) + max delay la in
+  t.outbox.(src) <- { dst; at; name; fn } :: t.outbox.(src);
   (* Adaptive-horizon echo bound: nothing this message causes can come
      back to [src] before [at + dist (dst -> src)].  Tighten the
      sender's window bound if that is sooner than what it is currently
      running under (only the domain executing [src] ever calls this,
-     so the plain ref is race-free). *)
-  if edge.e_ret < inf then begin
-    let back = at + edge.e_ret in
-    if back < !(st.s_bound) then st.s_bound := back
-  end
+     so the plain ref is race-free).  With no return path the distance
+     is [inf], and no bound ever exceeds [inf]. *)
+  let back = at + t.dist.(dst).(src) and bound = t.bounds.(src) in
+  if back < !bound then bound := back
 
-(* Drain every dirty edge into the destination engines, in the
-   canonical order (delivery time, src, dst, per-edge sequence).  The
-   gather walks sources in index order and each source's dirty edges in
-   destination order, so gather position already encodes the
-   (src, dst, seq) tiebreak — a stable sort by delivery time alone
-   reproduces the canonical order exactly.  Buffers are reused across
-   windows; small batches (the common case) sort in place with zero
-   allocation. *)
+(* Inject every outbox into its destination engines: sources in index
+   order, each outbox in send order.  Every destination therefore
+   receives its messages in (src, per-edge sequence) order, and its
+   heap runs events by (time, insertion sequence), so they execute in
+   the canonical (delivery time, src, per-edge sequence) order without
+   any sort. *)
 let drain t =
-  let n = Array.length t.shards in
-  (* Gather. *)
-  let cnt = ref 0 in
-  let push at e k =
-    if !cnt >= Array.length t.g_at then begin
-      let cap = max 64 (2 * Array.length t.g_at) in
-      let at' = Array.make cap 0 in
-      let ed' = Array.make cap dummy_edge in
-      let ix' = Array.make cap 0 in
-      Array.blit t.g_at 0 at' 0 !cnt;
-      Array.blit t.g_edge 0 ed' 0 !cnt;
-      Array.blit t.g_idx 0 ix' 0 !cnt;
-      t.g_at <- at';
-      t.g_edge <- ed';
-      t.g_idx <- ix'
-    end;
-    t.g_at.(!cnt) <- at;
-    t.g_edge.(!cnt) <- e;
-    t.g_idx.(!cnt) <- k;
-    incr cnt
-  in
-  for src = 0 to n - 1 do
-    let st = t.st.(src) in
-    match st.s_dirty with
+  let k = ref 0 in
+  for src = 0 to Array.length t.outbox - 1 do
+    match t.outbox.(src) with
     | [] -> ()
-    | dirty ->
-        st.s_dirty <- [];
-        let dirty =
-          List.sort (fun a b -> compare a.e_dst b.e_dst) dirty
-        in
+    | out ->
+        t.outbox.(src) <- [];
+        k := !k + List.length out;
         List.iter
-          (fun e ->
-            for k = 0 to e.e_cnt - 1 do
-              push e.e_at.(k) e k
-            done;
-            e.e_dirty <- false)
-          dirty
+          (fun m ->
+            Engine.spawn_root_at t.shards.(m.dst) ~at:m.at ~name:m.name m.fn)
+          (List.rev out)
   done;
-  let k = !cnt in
-  if k > 0 then begin
-    t.messages <- t.messages + k;
-    if k > t.batch_max then t.batch_max <- k;
-    (* Stable sort by delivery time (gather order breaks ties). *)
-    if k <= 48 then
-      for i = 1 to k - 1 do
-        let at = t.g_at.(i) and ed = t.g_edge.(i) and ix = t.g_idx.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && t.g_at.(!j) > at do
-          t.g_at.(!j + 1) <- t.g_at.(!j);
-          t.g_edge.(!j + 1) <- t.g_edge.(!j);
-          t.g_idx.(!j + 1) <- t.g_idx.(!j);
-          decr j
-        done;
-        t.g_at.(!j + 1) <- at;
-        t.g_edge.(!j + 1) <- ed;
-        t.g_idx.(!j + 1) <- ix
-      done
-    else begin
-      let perm = Array.init k (fun i -> i) in
-      Array.sort
-        (fun a b ->
-          let c = compare t.g_at.(a) t.g_at.(b) in
-          if c <> 0 then c else compare a b)
-        perm;
-      let at' = Array.map (fun i -> t.g_at.(i)) perm in
-      let ed' = Array.map (fun i -> t.g_edge.(i)) perm in
-      let ix' = Array.map (fun i -> t.g_idx.(i)) perm in
-      Array.blit at' 0 t.g_at 0 k;
-      Array.blit ed' 0 t.g_edge 0 k;
-      Array.blit ix' 0 t.g_idx 0 k
-    end;
-    (* Inject, then release the buffered closures. *)
-    for i = 0 to k - 1 do
-      let e = t.g_edge.(i) and ix = t.g_idx.(i) in
-      Engine.spawn_root_at t.shards.(e.e_dst) ~at:t.g_at.(i)
-        ~name:e.e_name.(ix) e.e_fn.(ix)
-    done;
-    for i = 0 to k - 1 do
-      let e = t.g_edge.(i) in
-      if e.e_cnt > 0 then begin
-        Array.fill e.e_name 0 e.e_cnt "";
-        Array.fill e.e_fn 0 e.e_cnt ignore;
-        e.e_cnt <- 0
-      end;
-      t.g_edge.(i) <- dummy_edge
-    done
-  end
+  t.messages <- t.messages + !k;
+  if !k > t.batch_max then t.batch_max <- !k
 
 let run ?(domains = 1) ?(grain = 96) t =
   let n = Array.length t.shards in
@@ -399,9 +242,7 @@ let run ?(domains = 1) ?(grain = 96) t =
   let nexts = Array.make n inf in
   let work j =
     try
-      ignore
-        (Engine.run_until_dyn t.shards.(j) ~bound:t.st.(j).s_bound
-          : Time.t option)
+      ignore (Engine.run_until t.shards.(j) ~bound:t.bounds.(j) : Time.t option)
     with e -> shard_exn.(j) <- Some e
   in
   let after_window () =
@@ -559,7 +400,7 @@ let run ?(domains = 1) ?(grain = 96) t =
               if nexts.(j) < !static then begin
                 if !static >= inf then
                   t.extended_horizons <- t.extended_horizons + 1;
-                t.st.(j).s_bound := !static;
+                t.bounds.(j) := !static;
                 runnable.(!runnable_cnt) <- j;
                 incr runnable_cnt
               end

@@ -25,11 +25,14 @@
     {b Determinism contract.}  For a fixed [(seed, shard count, edge
     set, process behaviour)], results are identical for {e every} value
     of [?domains] — the domain count affects which OS threads execute a
-    window, never what the window computes.  Cross-shard messages are
-    injected between windows in the canonical order (delivery time,
-    src, dst, per-edge sequence).  Every window bound above is a
-    function of engine states and the static edge set alone, so the
-    window structure itself is also identical at every domain count.
+    window, never what the window computes.  Between windows each
+    shard's outbox is injected into the destination engines, sources
+    in index order and each outbox in send order; a destination's heap
+    runs same-time events in insertion order, so every shard executes
+    its cross-shard messages in the canonical order (delivery time,
+    src, per-edge sequence).  Every window bound above is a function of
+    engine states and the static edge set alone, so the window
+    structure itself is also identical at every domain count.
 
     {b Sharing discipline.}  Processes on different shards must not
     share simulation state (mailboxes, ivars, bandwidth meters …);
@@ -42,14 +45,10 @@
 
 type t
 
-val create :
-  ?lookahead:Time.t -> ?seed:int -> ?seed_of:(int -> int) -> shards:int ->
-  unit -> t
+val create : ?seed:int -> ?seed_of:(int -> int) -> shards:int -> unit -> t
 (** [create ~shards ()] builds [shards] engines with deterministic
     per-shard RNG seeds derived from [seed] ([seed_of] overrides the
-    derivation per shard index).  [lookahead] is the default minimum
-    cross-shard delivery latency for edges that do not override it
-    (default, and floor, one tick). *)
+    derivation per shard index), and no edges. *)
 
 val shard_count : t -> int
 
@@ -59,14 +58,12 @@ val engine : t -> int -> Engine.t
     running boot events to a bound {e before} {!run} (construction at
     [t = 0]) is fine. *)
 
-val lookahead : t -> Time.t
-
-val connect : ?lookahead:Time.t -> t -> src:int -> dst:int -> unit
-(** Declare the directed edge [src -> dst].  Idempotent (the first
-    declaration's lookahead wins).  [lookahead] overrides the runner
-    default for this edge (floored at one tick).  Only declared edges
-    may carry messages, and only declared edges constrain the
-    destination's execution window. *)
+val connect : t -> src:int -> dst:int -> lookahead:Time.t -> unit
+(** Declare the directed edge [src -> dst] with its minimum cross-shard
+    delivery latency [lookahead] (floored at one tick).  Idempotent: the
+    first declaration's lookahead wins.  Only declared edges may carry
+    messages, and only declared edges constrain the destination's
+    execution window. *)
 
 val spawn_root : ?name:string -> t -> shard:int -> (unit -> unit) -> unit
 (** Spawn a root process on the given shard (before or between runs). *)
@@ -76,10 +73,9 @@ val send :
   (unit -> unit) -> unit
 (** [send t ~src ~dst ~name fn] — called while shard [src] executes —
     schedules [fn] as a root process on shard [dst] at
-    [now src + max delay (lookahead of the edge)].  Same-window
-    messages on one edge coalesce into a single reusable buffer
-    drained at the next barrier; the send may also tighten the calling
-    shard's window bound (see the adaptive horizon above).
+    [now src + max delay (lookahead of the edge)].  The message waits
+    on [src]'s outbox until the next barrier; the send may also tighten
+    the calling shard's window bound (see the adaptive horizon above).
     @raise Invalid_argument if the edge was never {!connect}ed. *)
 
 val run : ?domains:int -> ?grain:int -> t -> unit
@@ -117,7 +113,7 @@ type stats = {
   fast_forwards : int;
       (** idle-shard clock ratchets (the null messages) *)
   messages : int;  (** cross-shard messages drained *)
-  batch_max : int;  (** largest single-barrier coalesced batch *)
+  batch_max : int;  (** most messages drained at one barrier *)
   extended_horizons : int;
       (** busy-shard windows run beyond every static promise (adaptive
           horizon in effect) *)

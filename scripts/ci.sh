@@ -15,11 +15,11 @@
 # and every metric name printed.
 # Finally the multicore smokes: a per-node sharded deployment whose
 # output must be byte-identical at 1 and 4 domains, an 8-node rack of
-# replica groups with cohort clients, byte-identical at 1 and 4
-# domains with the cross-shard message coalescer demonstrably
-# batching, and a 24-node rack at 2 domains run three times against
-# 1 domain.  These check correctness of the parallel windows, not
-# speed; host time is hostbench's job.
+# replica groups with cohort clients whose stdout and domain-independent
+# sync stats are byte-identical at 1 and 4 domains, with barriers that
+# demonstrably drain multi-message batches, and a 24-node rack at 2
+# domains run three times against 1 domain.  These check correctness
+# of the parallel windows, not speed; host time is hostbench's job.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -53,9 +53,12 @@ echo "sharded-deployment smoke: byte-identical at 1 and 4 domains"
 
 # ---- scale smoke ------------------------------------------------------
 # Rack-scale path: an 8-node rack (2 replica groups of 4) driven by
-# 2-user cohorts, domains 1 vs 4, stdout byte-identical.  The cohort
-# round-robin also drives the cross-shard message coalescer with
-# multi-message batches (batch-max >= 2 on stderr).
+# 2-user cohorts, domains 1 vs 4, stdout byte-identical.  The stderr
+# sync stats must match too once the two that depend on the domain
+# count (parallel=, barrier-waits=) are dropped: that covers batch-max,
+# the one stat stdout does not carry.  The cohort round-robin also
+# sends several cross-shard messages within one window, so some
+# barrier must drain a multi-message batch (batch-max >= 2).
 dune exec bin/linefs_sim.exe -- --nodes 8 --group-size 4 --cohort 2 \
   --file-mb 64 --domains 1 > _scale_smoke_d1.txt 2> _scale_smoke_d1.err
 dune exec bin/linefs_sim.exe -- --nodes 8 --group-size 4 --cohort 2 \
@@ -65,15 +68,25 @@ cmp _scale_smoke_d1.txt _scale_smoke_d4.txt || {
   diff _scale_smoke_d1.txt _scale_smoke_d4.txt || true
   exit 1
 }
+for d in 1 4; do
+  sed -E 's/ (parallel|barrier-waits)=[0-9]+//g' _scale_smoke_d$d.err \
+    > _scale_smoke_d$d.sync
+done
+cmp _scale_smoke_d1.sync _scale_smoke_d4.sync || {
+  echo "FAIL: rack sync stats differ between 1 and 4 domains"
+  diff _scale_smoke_d1.sync _scale_smoke_d4.sync || true
+  exit 1
+}
 grep -q 'batch-max=\([2-9]\|[0-9][0-9]\)' _scale_smoke_d1.err || {
-  echo "FAIL: scale smoke never coalesced a multi-message batch:"
+  echo "FAIL: scale smoke never drained a multi-message batch:"
   cat _scale_smoke_d1.err
   exit 1
 }
 rm -f _scale_smoke_d1.txt _scale_smoke_d4.txt \
-      _scale_smoke_d1.err _scale_smoke_d4.err
-echo "scale smoke: 8-node rack byte-identical at 1 and 4 domains," \
-     "coalescing exercised"
+      _scale_smoke_d1.err _scale_smoke_d4.err \
+      _scale_smoke_d1.sync _scale_smoke_d4.sync
+echo "scale smoke: 8-node rack stdout and sync stats byte-identical" \
+     "at 1 and 4 domains, multi-message drains exercised"
 
 # ---- 2-domain rack smoke ---------------------------------------------
 # A 24-node rack (6 replica groups of 4, 4-user cohorts) on 2 domains,

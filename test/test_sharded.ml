@@ -12,9 +12,9 @@ open Sim
    trace — cross-shard shared mutation is exactly what the runner
    forbids — and the traces are merged after [run]. *)
 let ping_pong ~rounds ~delay ~domains =
-  let s = Sharded.create ~lookahead:(Time.us 1) ~shards:2 () in
-  Sharded.connect s ~src:0 ~dst:1;
-  Sharded.connect s ~src:1 ~dst:0;
+  let s = Sharded.create ~shards:2 () in
+  Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 1);
+  Sharded.connect s ~src:1 ~dst:0 ~lookahead:(Time.us 1);
   let trace0 = ref [] and trace1 = ref [] in
   let rec ping k () =
     trace0 := (k, Engine.now ()) :: !trace0;
@@ -91,7 +91,7 @@ let test_send_requires_edge () =
    every domain count even though the slow edge dominates the fast
    destination's windows. *)
 let star_times ~domains =
-  let s = Sharded.create ~lookahead:(Time.us 1) ~shards:3 () in
+  let s = Sharded.create ~shards:3 () in
   Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 3);
   Sharded.connect s ~src:0 ~dst:2 ~lookahead:(Time.ms 2);
   let at = Array.make 2 None in
@@ -119,14 +119,14 @@ let test_per_edge_lookahead () =
 
 (* Re-declaring an edge changes nothing: the first declaration's
    lookahead still clamps the delay, whether the later one asks for a
-   longer lookahead or for the runner default. *)
+   longer lookahead or a shorter one. *)
 let test_connect_keeps_first_lookahead () =
   List.iter
     (fun domains ->
-      let s = Sharded.create ~lookahead:(Time.us 1) ~shards:2 () in
+      let s = Sharded.create ~shards:2 () in
       Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 5);
       Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.ms 1);
-      Sharded.connect s ~src:0 ~dst:1;
+      Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 1);
       let at = ref None in
       Sharded.spawn_root s ~shard:0 (fun () ->
           Sharded.send s ~src:0 ~dst:1 ~delay:(Time.us 1) ~name:"hop"
@@ -183,9 +183,9 @@ let test_pool_reraises () =
 let test_busy_poller_with_idle_peer () =
   List.iter
     (fun domains ->
-      let s = Sharded.create ~lookahead:(Time.us 5) ~shards:2 () in
-      Sharded.connect s ~src:0 ~dst:1;
-      Sharded.connect s ~src:1 ~dst:0;
+      let s = Sharded.create ~shards:2 () in
+      Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 5);
+      Sharded.connect s ~src:1 ~dst:0 ~lookahead:(Time.us 5);
       let reply_at = ref None in
       Sharded.spawn_root s ~shard:0 (fun () ->
           let got = ref false in
@@ -225,9 +225,9 @@ let test_adaptive_horizon_window_count () =
 
 let test_stats_and_fast_forward () =
   let delay = Time.us 7 in
-  let s = Sharded.create ~lookahead:(Time.us 1) ~shards:2 () in
-  Sharded.connect s ~src:0 ~dst:1;
-  Sharded.connect s ~src:1 ~dst:0;
+  let s = Sharded.create ~shards:2 () in
+  Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 1);
+  Sharded.connect s ~src:1 ~dst:0 ~lookahead:(Time.us 1);
   let rec ping k () =
     if k < 6 then Sharded.send s ~src:(k mod 2) ~dst:((k + 1) mod 2) ~delay
         ~name:"hop" (ping (k + 1))
@@ -244,17 +244,17 @@ let test_stats_and_fast_forward () =
     (st.Sharded.parallel_windows = 0)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-shard coalescing: same-window messages batch, order holds     *)
+(* Cross-shard drain: same-window messages run in canonical order      *)
 (* ------------------------------------------------------------------ *)
 
 let burst_trace ~domains =
-  let s = Sharded.create ~lookahead:(Time.us 5) ~shards:2 () in
-  Sharded.connect s ~src:0 ~dst:1;
+  let s = Sharded.create ~shards:2 () in
+  Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 5);
   let got = ref [] in
   Sharded.spawn_root s ~shard:0 (fun () ->
-      (* Ten same-window sends on one edge: one coalesced batch.  Equal
-         delivery times must drain in send order (per-edge sequence
-         breaks the tie); staggered ones in time order. *)
+      (* Ten same-window sends on one edge: one batch at the barrier.
+         Equal delivery times must run in send order (per-edge
+         sequence breaks the tie); staggered ones in time order. *)
       for i = 0 to 9 do
         let delay = Time.us (5 + (3 * (i mod 3))) in
         Sharded.send s ~src:0 ~dst:1 ~delay ~name:"burst" (fun () ->
@@ -268,7 +268,7 @@ let test_coalesced_batch_order () =
   Alcotest.(check int) "all messages delivered" 10 (List.length trace);
   Alcotest.(check int) "messages counted" 10 st.Sharded.messages;
   Alcotest.(check bool)
-    (Printf.sprintf "burst coalesced into one batch (max %d)"
+    (Printf.sprintf "burst drained as one batch (max %d)"
        st.Sharded.batch_max)
     true
     (st.Sharded.batch_max = 10);
@@ -282,6 +282,46 @@ let test_coalesced_batch_order () =
   Alcotest.(check bool) "domain-independent" true
     (trace = fst (burst_trace ~domains:2))
 
+(* Messages from different sources that land at the same instant run
+   in source order, then send order — not in the order they were sent
+   in virtual time.  Shard 2 sends first (at 0 us), shard 1 twice a
+   microsecond later; all three land on shard 0 at 10 us, drained at
+   one barrier. *)
+let cross_source_trace ?grain ~domains () =
+  let s = Sharded.create ~shards:3 () in
+  Sharded.connect s ~src:1 ~dst:0 ~lookahead:(Time.us 1);
+  Sharded.connect s ~src:2 ~dst:0 ~lookahead:(Time.us 1);
+  let got = ref [] in
+  let send src label =
+    Sharded.send s ~src ~dst:0 ~delay:(Time.us 10 - Engine.now ())
+      ~name:label (fun () -> got := (label, Engine.now ()) :: !got)
+  in
+  Sharded.spawn_root s ~shard:2 (fun () -> send 2 "2a");
+  Sharded.spawn_root s ~shard:1 (fun () ->
+      Engine.sleep (Time.us 1);
+      send 1 "1a";
+      send 1 "1b");
+  Sharded.run ?grain ~domains s;
+  (List.rev !got, Sharded.stats s)
+
+let test_cross_source_order () =
+  List.iter
+    (fun (grain, domains) ->
+      let what =
+        Printf.sprintf "domains=%d%s" domains
+          (match grain with Some g -> Printf.sprintf " grain=%d" g | None -> "")
+      in
+      let trace, st = cross_source_trace ?grain ~domains () in
+      Alcotest.(check (list (pair string int)))
+        ("source order, then send order (" ^ what ^ ")")
+        [ ("1a", Time.us 10); ("1b", Time.us 10); ("2a", Time.us 10) ]
+        trace;
+      Alcotest.(check int) ("one batch (" ^ what ^ ")") 3 st.Sharded.batch_max;
+      if grain = Some 0 then
+        Alcotest.(check bool) ("pool engaged (" ^ what ^ ")") true
+          (st.Sharded.parallel_windows > 0))
+    [ (None, 1); (None, 2); (Some 0, 2) ]
+
 (* ------------------------------------------------------------------ *)
 (* Worker pool: grain 0 forces every multi-shard window parallel       *)
 (* ------------------------------------------------------------------ *)
@@ -293,9 +333,9 @@ let test_coalesced_batch_order () =
 let test_forced_parallel_pool () =
   let delay = Time.us 3 in
   let reference = ping_pong ~rounds:5 ~delay ~domains:1 in
-  let s = Sharded.create ~lookahead:(Time.us 1) ~shards:2 () in
-  Sharded.connect s ~src:0 ~dst:1;
-  Sharded.connect s ~src:1 ~dst:0;
+  let s = Sharded.create ~shards:2 () in
+  Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 1);
+  Sharded.connect s ~src:1 ~dst:0 ~lookahead:(Time.us 1);
   let trace0 = ref [] and trace1 = ref [] in
   let rec ping k () =
     trace0 := (k, Engine.now ()) :: !trace0;
@@ -329,10 +369,11 @@ let test_forced_parallel_pool () =
    and the per-shard step times must match a single-domain run. *)
 let uneven_pool_run ~domains =
   let shards = 24 in
-  let s = Sharded.create ~lookahead:(Time.us 1) ~shards () in
+  let s = Sharded.create ~shards () in
+  let lookahead = Time.us 1 in
   for i = 0 to shards - 1 do
-    Sharded.connect s ~src:i ~dst:((i + 1) mod shards);
-    Sharded.connect s ~src:((i + 1) mod shards) ~dst:i
+    Sharded.connect s ~src:i ~dst:((i + 1) mod shards) ~lookahead;
+    Sharded.connect s ~src:((i + 1) mod shards) ~dst:i ~lookahead
   done;
   let running = Array.init shards (fun _ -> Atomic.make false) in
   let trace = Array.make shards [] in
@@ -386,9 +427,9 @@ let test_pool_never_shares_a_shard () =
    deterministic per-shard streams.  Whatever the domain count, the
    trace must be identical. *)
 let ring_trace ~shards ~hops ~seed ~domains =
-  let s = Sharded.create ~lookahead:(Time.us 2) ~seed ~shards () in
+  let s = Sharded.create ~seed ~shards () in
   for i = 0 to shards - 1 do
-    Sharded.connect s ~src:i ~dst:((i + 1) mod shards)
+    Sharded.connect s ~src:i ~dst:((i + 1) mod shards) ~lookahead:(Time.us 2)
   done;
   let traces = Array.make shards [] in
   let rec hop shard v () =
@@ -442,6 +483,8 @@ let () =
           tc "grain 0 forces the worker pool" `Quick test_forced_parallel_pool;
           tc "pool never runs one shard on two domains" `Quick
             test_pool_never_shares_a_shard;
+          tc "same-instant messages run in source order" `Quick
+            test_cross_source_order;
         ] );
       ( "errors",
         [
