@@ -30,7 +30,7 @@ type client = {
   sys : t;
   cid : int;
   lg : Oplog.Log.t;
-  pending : (int, int Extent_map.t) Hashtbl.t;
+  pending : Log_index.t; (* unpublished writes *)
   fds : (int, file) Hashtbl.t;
   mutable next_fd : int;
   mutable next_seq : int;
@@ -248,9 +248,7 @@ let reclaim c =
   let safe = c.digested_seq in
   if safe > 0 then begin
     ignore (Oplog.Log.reclaim_upto c.lg ~seq:safe : int);
-    Hashtbl.iter
-      (fun _ m -> Extent_map.remove_if m (fun seq -> seq <= safe))
-      c.pending;
+    Log_index.reclaim_upto c.pending ~seq:safe;
     Cond.broadcast c.log_space
   end
 
@@ -475,19 +473,7 @@ let append_op_locked c (op : Oplog.op) =
   (match Fs_state.apply (cfs c) op with
   | Ok () -> ()
   | Error e -> fail e "apply after validate");
-  (match op with
-  | Oplog.Write { inum; offset; data } ->
-      let m =
-        match Hashtbl.find_opt c.pending inum with
-        | Some m -> m
-        | None ->
-            let m = Extent_map.create () in
-            Hashtbl.add c.pending inum m;
-            m
-      in
-      Extent_map.insert m ~at:offset data entry.Oplog.seq
-  | Oplog.Unlink { inum; _ } -> Hashtbl.remove c.pending inum
-  | Oplog.Create _ | Oplog.Rename _ | Oplog.Truncate _ -> ());
+  Log_index.note c.pending entry;
   (* Wake digestion when the log fills up. *)
   if Oplog.Log.used_bytes c.lg >= Oplog.Log.capacity c.lg / digest_threshold
   then Cond.signal c.digest_request;
@@ -544,15 +530,7 @@ let do_read c fd ~pos ~len =
   let f = the_file c fd in
   let t = c.sys in
   client_cpu c t.prm.Params.fs_op_cost;
-  let in_log =
-    match Hashtbl.find_opt c.pending f.inum with
-    | None -> false
-    | Some m ->
-        List.exists
-          (function `Data _ -> true | `Hole _ -> false)
-          (Extent_map.read_range m ~pos ~len)
-  in
-  if not in_log then begin
+  if not (Log_index.covers c.pending ~inum:f.inum ~pos ~len) then begin
     let depth = max 1 (Fs_state.extent_depth (cfs c) f.inum) in
     client_cpu c (depth * t.prm.Params.read_index_cost)
   end;
@@ -635,7 +613,7 @@ let add_client t ~id =
       sys = t;
       cid = id;
       lg = Oplog.Log.create ~capacity:t.prm.Params.log_bytes ();
-      pending = Hashtbl.create 16;
+      pending = Log_index.create ();
       fds = Hashtbl.create 16;
       next_fd = 3;
       next_seq = 1;

@@ -11,7 +11,7 @@ type t = {
   fs : Fs_state.t;
   lg : Oplog.Log.t;
   mutable next_seq : int;
-  pending : (int, int Extent_map.t) Hashtbl.t; (* inum -> unpublished *)
+  pending : Log_index.t; (* unpublished writes *)
   fds : (int, file) Hashtbl.t;
   mutable next_fd : int;
   mutable unchunked : int; (* bytes logged since the last pipeline kick *)
@@ -61,7 +61,7 @@ let create ?(prio = Hw.Cpu.prio_normal) ?account ~params ~node ~nicfs ~fs ~id
       fs;
       lg = Oplog.Log.create ~capacity:params.Params.log_bytes ();
       next_seq = 1;
-      pending = Hashtbl.create 16;
+      pending = Log_index.create ();
       fds = Hashtbl.create 16;
       next_fd = 3;
       unchunked = 0;
@@ -83,9 +83,7 @@ let create ?(prio = Hw.Cpu.prio_normal) ?account ~params ~node ~nicfs ~fs ~id
   Nicfs.register_client nicfs ~id ~log:t.lg
     ~on_published:(fun ~upto_seq ->
       ignore (Oplog.Log.reclaim_upto t.lg ~seq:upto_seq : int);
-      Hashtbl.iter
-        (fun _ m -> Extent_map.remove_if m (fun seq -> seq <= upto_seq))
-        t.pending;
+      Log_index.reclaim_upto t.pending ~seq:upto_seq;
       Cond.broadcast t.log_space)
     ~on_revoke:(fun ~inum ->
       (* Quiesce: wait out any in-flight logged operation before the
@@ -226,19 +224,7 @@ let append_op_locked t (op : Oplog.op) =
   (match Fs_state.apply t.fs op with
   | Ok () -> ()
   | Error e -> Dfs_intf.fail e "apply after successful validate");
-  (match op with
-  | Oplog.Write { inum; offset; data } ->
-      let m =
-        match Hashtbl.find_opt t.pending inum with
-        | Some m -> m
-        | None ->
-            let m = Extent_map.create () in
-            Hashtbl.add t.pending inum m;
-            m
-      in
-      Extent_map.insert m ~at:offset data entry.Oplog.seq
-  | Oplog.Unlink { inum; _ } -> Hashtbl.remove t.pending inum
-  | Oplog.Create _ | Oplog.Rename _ | Oplog.Truncate _ -> ());
+  Log_index.note t.pending entry;
   t.unchunked <- t.unchunked + size;
   if t.unchunked >= t.params.Params.chunk_bytes then kick_pipeline t
 
@@ -318,16 +304,7 @@ let do_read t fd ~pos ~len =
   t.n_ops <- t.n_ops + 1;
   let f = the_file t fd in
   cpu t t.params.Params.fs_op_cost;
-  let in_log =
-    match Hashtbl.find_opt t.pending f.inum with
-    | None -> false
-    | Some m -> (
-        match Extent_map.read_range m ~pos ~len with
-        | [] -> false
-        | pieces ->
-            List.exists (function `Data _ -> true | `Hole _ -> false) pieces)
-  in
-  if not in_log then begin
+  if not (Log_index.covers t.pending ~inum:f.inum ~pos ~len) then begin
     (* Public PM path: walk the per-file extent tree. *)
     let depth = max 1 (Fs_state.extent_depth t.fs f.inum) in
     cpu t (depth * t.params.Params.read_index_cost)

@@ -407,11 +407,9 @@ let publish_sink t cs (c : Chunk.t) =
   Cond.broadcast cs.publish_progress
 
 (* Compression stage (optional, §3.3.2): real LZW over real payloads;
-   synthetic payloads are treated as incompressible. *)
-(* Compression stage (optional, SS3.3.2): real LZW over real payloads;
    synthetic payloads are treated as incompressible. The chunk is
    split across [compress_workers] SmartNIC threads so the stage never
-   bottlenecks the pipeline (SS5.4). *)
+   bottlenecks the pipeline (§5.4). *)
 let compress_work t (c : Chunk.t) =
   (* Degraded mode skips compression entirely (§3.6): it exists to
      save NIC-side network bandwidth at the price of NIC cycles, and

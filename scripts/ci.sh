@@ -12,7 +12,8 @@
 # with its own determinism re-check.
 # Then the host-time benchmark's smoke: every hostbench workload at
 # 1/50 size, its simulated outputs checked against hostbench/pins.json
-# and every metric name printed.
+# and every metric name printed; then its full pin check: both seeds
+# at full and 1/50 size, failing the build on any mismatch.
 # Finally the multicore smokes: a per-node sharded deployment whose
 # output must be byte-identical at 1 and 4 domains, an 8-node rack of
 # replica groups with cohort clients whose stdout and domain-independent
@@ -33,8 +34,9 @@ dune exec bin/litmus_sweep.exe -- \
   --out "${LITMUS_OUT:-_litmus_reports}"
 dune exec bin/litmus_sweep.exe -- --mutate --out "${LITMUS_OUT:-_litmus_reports}"
 
-# ---- host-time benchmark smoke ----------------------------------------
+# ---- host-time benchmark smoke and pins -------------------------------
 python3 hostbench/run.py --smoke
+python3 hostbench/run.py --check
 
 # ---- multicore smoke --------------------------------------------------
 # Per-node sharded deployment: one scaled fig4-style cell, domains 1

@@ -304,6 +304,73 @@ let test_assise_sharded_pinned () =
     pinned_assise
 
 (* ------------------------------------------------------------------ *)
+(* Metastorm on LineFS and Assise                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Write-temp-then-rename churn: every cycle writes a fresh inode and
+   renames it over an old one, so each client's unpublished-write index
+   and its log reclamation see a new inode per cycle.  Pins the
+   workload's op count and elapsed virtual time, and the primary's
+   digest and the replicated bytes after a final flush, on one
+   engine. *)
+let run_metastorm setup =
+  let eng = Engine.create () in
+  let out = ref None in
+  Engine.spawn_root eng (fun () ->
+      let ops, finish = setup () in
+      let r =
+        Workloads.Metastorm.run ~ops ~files:200 ~threads:4
+          ~duration:(Time.ms 50) ~seed:5 ()
+      in
+      let dg, wire = finish () in
+      out :=
+        Some
+          (Printf.sprintf "ops=%d elapsed=%d digest=%08lx wire=%d"
+             r.Workloads.Metastorm.ops_done r.Workloads.Metastorm.elapsed dg
+             wire));
+  Engine.run eng;
+  match !out with
+  | None -> Alcotest.fail "metastorm run did not finish"
+  | Some s -> s
+
+let metastorm_linefs () =
+  let d = Deployment.create ~params:test_params ~nodes:3 () in
+  ( Libfs.ops (Deployment.add_client d ~id:1),
+    fun () ->
+      Deployment.flush_all d;
+      Deployment.stop d;
+      ( Storage.Fs_state.digest (Deployment.primary d).Deployment.fs,
+        Deployment.replication_wire_bytes d ) )
+
+let metastorm_assise () =
+  let sys = Baselines.Assise.create ~params:test_params ~nodes:3 () in
+  ( Baselines.Assise.ops (Baselines.Assise.add_client sys ~id:1),
+    fun () ->
+      Baselines.Assise.flush_all sys;
+      Baselines.Assise.stop sys;
+      ( Storage.Fs_state.digest (Baselines.Assise.primary_fs sys),
+        Baselines.Assise.replication_wire_bytes sys ) )
+
+(* Regenerate by running this test and copying the reported values if a
+   change legitimately alters either client under rename churn. *)
+let pinned_metastorm =
+  [
+    ( "LineFS",
+      metastorm_linefs,
+      "ops=16305 elapsed=50100212 digest=9038d570 wire=1134499" );
+    ( "Assise",
+      metastorm_assise,
+      "ops=17725 elapsed=50103698 digest=009b0376 wire=1221829" );
+  ]
+
+let test_metastorm_pinned () =
+  List.iter
+    (fun (name, setup, expect) ->
+      Alcotest.(check string)
+        (name ^ " metastorm") expect (run_metastorm setup))
+    pinned_metastorm
+
+(* ------------------------------------------------------------------ *)
 (* Rack-scale: N nodes as replica groups, cohort clients               *)
 (* ------------------------------------------------------------------ *)
 
@@ -553,6 +620,11 @@ let () =
           qt prop_sharding_preserves_results;
           tc "pinned sharded Assise/BgRepl/Hyperloop cells at domains 1/2"
             `Quick test_assise_sharded_pinned;
+        ] );
+      ( "metastorm",
+        [
+          tc "pinned LineFS and Assise metastorm runs" `Quick
+            test_metastorm_pinned;
         ] );
       ( "rack",
         [

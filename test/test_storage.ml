@@ -1,5 +1,6 @@
 (* Tests for the storage substrate: payloads, CRC, extent maps, the
-   operational log and the public FS state. *)
+   operational log, the unpublished-write index and the public FS
+   state. *)
 
 open Storage
 
@@ -582,6 +583,142 @@ let prop_log_reclaim_conserves_bytes =
       Oplog.Log.used_bytes log + freed = before)
 
 (* ------------------------------------------------------------------ *)
+(* Log_index                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Metastorm's write-temp-then-rename cycle: each update writes a fresh
+   inode and renames it over the old one, so no [Unlink] ever drops the
+   replaced inode.  Publication trails the append by one cycle, so only
+   the inode it has not reached yet may stay indexed. *)
+let test_log_index_rename_churn () =
+  let idx = Log_index.create () in
+  let seq = ref 0 in
+  let log op =
+    incr seq;
+    Log_index.note idx (Oplog.make ~seq:!seq ~client:0 op);
+    !seq
+  in
+  let cycles = 1000 in
+  let published = ref 0 in
+  for i = 1 to cycles do
+    let inum = 100 + i in
+    ignore
+      (log (Oplog.Create { parent = 1; name = "tmp"; inum; dir = false })
+        : int);
+    let w =
+      log
+        (Oplog.Write
+           { inum; offset = 0; data = Data.synthetic ~seed:i ~len:512 })
+    in
+    ignore
+      (log
+         (Oplog.Rename
+            {
+              src_parent = 1;
+              src_name = "tmp";
+              dst_parent = 1;
+              dst_name = "f";
+              inum;
+            })
+        : int);
+    Log_index.reclaim_upto idx ~seq:!published;
+    if Log_index.inodes idx > 1 then
+      Alcotest.failf "cycle %d: %d inodes indexed" i (Log_index.inodes idx);
+    published := w
+  done;
+  let last = 100 + cycles in
+  Alcotest.(check bool) "unpublished write covered" true
+    (Log_index.covers idx ~inum:last ~pos:0 ~len:512);
+  Log_index.reclaim_upto idx ~seq:!published;
+  Alcotest.(check int) "no inode left" 0 (Log_index.inodes idx);
+  Alcotest.(check bool) "published write not covered" false
+    (Log_index.covers idx ~inum:last ~pos:0 ~len:512)
+
+type index_step =
+  | Iwrite of int * int * int (* inum, pos, len *)
+  | Iunlink of int
+  | Ireclaim of int (* how far the mark advances *)
+
+let index_inodes = 4
+let index_bytes = 80
+
+let print_index_step = function
+  | Iwrite (i, pos, len) -> Printf.sprintf "write %d [%d,+%d)" i pos len
+  | Iunlink i -> Printf.sprintf "unlink %d" i
+  | Ireclaim k -> Printf.sprintf "reclaim +%d" k
+
+let arb_index_steps =
+  let open QCheck.Gen in
+  let inum = int_bound (index_inodes - 1) in
+  let step =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun i pos len -> Iwrite (i, pos, len))
+            inum (int_bound 60) (int_range 1 20) );
+        (1, map (fun i -> Iunlink i) inum);
+        (2, map (fun k -> Ireclaim k) (int_bound 6));
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list print_index_step)
+    ~shrink:QCheck.Shrink.list
+    (list_size (1 -- 40) step)
+
+(* Model: per inode and byte, the seq of its latest write since the
+   inode's last unlink (0 for none).  A byte is in the log iff that seq
+   is above the reclaim mark.  [covers] must agree on every byte and on
+   the whole range after every step, and right after each reclaim the
+   index must hold exactly the inodes with such a byte. *)
+let prop_log_index_model =
+  QCheck.Test.make ~name:"log index covers and inodes match per-byte model"
+    ~count:300 arb_index_steps (fun steps ->
+      let idx = Log_index.create () in
+      let model = Array.init index_inodes (fun _ -> Array.make index_bytes 0) in
+      let seq = ref 0 and mark = ref 0 and ok = ref true in
+      let log op =
+        incr seq;
+        Log_index.note idx (Oplog.make ~seq:!seq ~client:0 op)
+      in
+      let in_log i ~pos ~len =
+        let r = ref false in
+        for j = pos to pos + len - 1 do
+          if model.(i).(j) > !mark then r := true
+        done;
+        !r
+      in
+      let agrees i ~pos ~len =
+        Log_index.covers idx ~inum:i ~pos ~len = in_log i ~pos ~len
+      in
+      List.iter
+        (fun step ->
+          (match step with
+          | Iwrite (i, pos, len) ->
+              let data = Data.synthetic ~seed:i ~len in
+              log (Oplog.Write { inum = i; offset = pos; data });
+              Array.fill model.(i) pos len !seq
+          | Iunlink i ->
+              log (Oplog.Unlink { parent = 1; name = "f"; inum = i });
+              Array.fill model.(i) 0 index_bytes 0
+          | Ireclaim k ->
+              mark := min !seq (!mark + k);
+              Log_index.reclaim_upto idx ~seq:!mark;
+              let live = ref 0 in
+              for i = 0 to index_inodes - 1 do
+                if in_log i ~pos:0 ~len:index_bytes then incr live
+              done;
+              if Log_index.inodes idx <> !live then ok := false);
+          for i = 0 to index_inodes - 1 do
+            if not (agrees i ~pos:0 ~len:index_bytes) then ok := false;
+            for pos = 0 to index_bytes - 1 do
+              if not (agrees i ~pos ~len:1) then ok := false
+            done
+          done)
+        steps;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
 (* Fs_state                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -909,6 +1046,12 @@ let () =
           tc "log chunking budget" `Quick test_log_entries_from_respects_budget;
           tc "log reclaim" `Quick test_log_reclaim;
           qt prop_log_reclaim_conserves_bytes;
+        ] );
+      ( "log-index",
+        [
+          tc "rename churn keeps only live inodes" `Quick
+            test_log_index_rename_churn;
+          qt prop_log_index_model;
         ] );
       ( "fs-state",
         [

@@ -32,6 +32,14 @@ let with_linefs f =
       Deployment.stop d;
       r)
 
+let with_assise f =
+  run_sim (fun () ->
+      let sys = Baselines.Assise.create ~params:test_params ~nodes:3 () in
+      let c = Baselines.Assise.add_client sys ~id:1 in
+      let r = f (Baselines.Assise.ops c) in
+      Baselines.Assise.stop sys;
+      r)
+
 (* ------------------------------------------------------------------ *)
 (* Microbench                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -255,18 +263,24 @@ let test_metastorm_runs () =
 let test_metastorm_namespace_stays_sane () =
   (* After the storm every surviving file is a complete 512 B payload
      (the temp+rename update is atomic — no torn in-place writes), and
-     no temp names leak once their cycle completes the rename. *)
-  with_linefs (fun _d ops ->
-      let _ =
-        Metastorm.run ~ops ~files:60 ~threads:4 ~duration:(Time.ms 200)
-          ~seed:7 ()
-      in
-      for i = 0 to 59 do
-        match ops.Dfs_intf.file_size (Printf.sprintf "/metastorm/f%05d" i) with
-        | Some size ->
-            Alcotest.(check int) (Printf.sprintf "file %d complete" i) 512 size
-        | None -> () (* unlinked by a REMOVE phase: fine *)
-      done)
+     no temp names leak once their cycle completes the rename.  Checked
+     on both clients that keep an unpublished-write index. *)
+  let check (ops : Dfs_intf.ops) =
+    let _ =
+      Metastorm.run ~ops ~files:60 ~threads:4 ~duration:(Time.ms 200) ~seed:7
+        ()
+    in
+    for i = 0 to 59 do
+      match ops.Dfs_intf.file_size (Printf.sprintf "/metastorm/f%05d" i) with
+      | Some size ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s file %d complete" ops.Dfs_intf.sysname i)
+            512 size
+      | None -> () (* unlinked by a REMOVE phase: fine *)
+    done
+  in
+  with_linefs (fun _d ops -> check ops);
+  with_assise check
 
 (* ------------------------------------------------------------------ *)
 (* Tencent sort                                                        *)
