@@ -139,8 +139,8 @@ let workload_body (name, client_ops, node_of, total_dfs_cpu, teardown)
    table and print the deployment line.  Neither carries a domain
    count, so stdout stays byte-identical when only [--domains]
    changes; the cross-shard sync detail goes to stderr, since
-   [parallel] and [barrier-waits] depend on the domain count and the
-   machine. *)
+   [parallel] depends on the domain count and on which domain claims
+   which component. *)
 let report_sharded sh =
   for i = 0 to Sharded.shard_count sh - 1 do
     Counters.merge (Sharded.engine sh i)
@@ -334,8 +334,4 @@ let cmd =
       $ files $ duration_ms $ busy $ latency $ domains $ shard_deployment
       $ nodes $ group_size $ cohort)
 
-let () =
-  (* Wall clock for the sharded runner's inline-vs-parallel policy
-     (scheduling only — simulation results never depend on it). *)
-  Sharded.set_clock Unix.gettimeofday;
-  exit (Cmd.eval cmd)
+let () = exit (Cmd.eval cmd)

@@ -80,7 +80,6 @@ let variant t = t.var
 let node t i = t.rts.(i).node
 let primary_fs t = t.rts.(0).fs
 let dfs_host_cpu t ~node = t.rts.(node).acct
-let verb_stalls t = t.n_verb_stalls
 let replication_wire_bytes t = t.wire
 
 let total_host_dfs_cpu t =

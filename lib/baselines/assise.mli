@@ -67,6 +67,3 @@ val dfs_host_cpu : t -> node:int -> Stats.Busy.t
 val total_host_dfs_cpu : t -> Time.t
 val replication_wire_bytes : t -> int
 (** Bytes the primary shipped to its successor. *)
-
-val verb_stalls : t -> int
-(** Hyperloop only: times replication waited for verb re-posting. *)

@@ -61,7 +61,7 @@ type hold = {
 
 (* Replay the scenario's lease trace and flag overlapping grants.  A
    hold opens at its Granted record and closes at the matching
-   Released/Expired, at wall-clock expiry, or when the cluster epoch
+   Released, at wall-clock expiry, or when the cluster epoch
    moves past its grant epoch (the epoch bump is a cluster-wide
    revocation, §3.6). *)
 let check_single_writer (trace : Trace.t) =
@@ -84,8 +84,7 @@ let check_single_writer (trace : Trace.t) =
       match r.Trace.event with
       | Trace.Epoch e -> epoch := max !epoch e
       | Trace.Fault _ | Trace.Note _ -> ()
-      | Trace.Lease (Linefs.Lease.Released { node; client; inum })
-      | Trace.Lease (Linefs.Lease.Expired { node; client; inum }) ->
+      | Trace.Lease (Linefs.Lease.Released { node; client; inum }) ->
           Hashtbl.remove (table node inum) client
       | Trace.Lease
           (Linefs.Lease.Granted { node; client; inum; ltype; epoch = ge; expires })

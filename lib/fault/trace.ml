@@ -31,8 +31,6 @@ let pp_event fmt = function
         (ltype_name ltype) epoch Time.pp expires
   | Lease (Linefs.Lease.Released { node; client; inum }) ->
       Format.fprintf fmt "release n%d c%d i%d" node client inum
-  | Lease (Linefs.Lease.Expired { node; client; inum }) ->
-      Format.fprintf fmt "expire n%d c%d i%d" node client inum
   | Epoch e -> Format.fprintf fmt "epoch %d" e
   | Fault s -> Format.fprintf fmt "fault %s" s
   | Note s -> Format.fprintf fmt "note %s" s

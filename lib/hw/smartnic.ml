@@ -18,7 +18,6 @@ let create (cfg : Config.t) ~port =
 let cpu t = t.cpu
 let port t = t.port
 let mem_copy t n = Bandwidth.transfer t.mem n
-let mem_copy_time t n = Bandwidth.time_for t.mem n
 
 let alloc t n =
   assert (n >= 0);

@@ -6,8 +6,6 @@
     (§4 "Replication flow control"): allocations never block here;
     the file system layer polls {!mem_frac} against its watermarks. *)
 
-open Sim
-
 type t
 
 val create : Config.t -> port:Netlink.port -> t
@@ -17,8 +15,6 @@ val port : t -> Netlink.port
 
 val mem_copy : t -> int -> unit
 (** Charge NIC DRAM bandwidth for moving [n] bytes within NIC memory. *)
-
-val mem_copy_time : t -> int -> Time.t
 
 val alloc : t -> int -> unit
 (** Account an allocation of NIC DRAM. *)

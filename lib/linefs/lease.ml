@@ -19,7 +19,6 @@ type event =
       expires : Time.t;
     }
   | Released of { node : int; client : int; inum : int }
-  | Expired of { node : int; client : int; inum : int }
 
 (* Engine-local when installed from inside a simulation process (fault
    scenarios sharded across domains each observe only their own
@@ -181,18 +180,6 @@ let check_access t ~client ~inum ~write =
           if write then not (List.exists (fun r -> r <> client) l.readers)
           else true)
 
-let expire_client t ~client =
-  let stale = ref [] in
-  Hashtbl.iter
-    (fun inum l ->
-      let held = l.writer = Some client || List.mem client l.readers in
-      if l.writer = Some client then l.writer <- None;
-      l.readers <- List.filter (fun r -> r <> client) l.readers;
-      if held then emit (Expired { node = t.node.Hw.Node.id; client; inum });
-      if l.writer = None && l.readers = [] then stale := inum :: !stale)
-    t.table;
-  List.iter (Hashtbl.remove t.table) !stale
-
 let pending_persists t = t.pending
 
 let wait_persisted t =
@@ -200,4 +187,3 @@ let wait_persisted t =
     Cond.await t.persisted
   done
 
-let active_leases t = Hashtbl.length t.table

@@ -24,8 +24,6 @@ type event =
       expires : Sim.Time.t;
     }
   | Released of { node : int; client : int; inum : int }
-  | Expired of { node : int; client : int; inum : int }
-      (** Dropped without the client asking (fail-over / revocation). *)
 
 val set_observer : (event -> unit) -> unit
 (** Install an observer notified of every lease transition on every
@@ -74,13 +72,9 @@ val check_access : t -> client:int -> inum:int -> write:bool -> bool
     lease held by someone else?  Unleased inodes are accessible (the
     holder-of-record is the issuing client's node). *)
 
-val expire_client : t -> client:int -> unit
-(** Drop all leases of a client (fail-over path). *)
-
 val pending_persists : t -> int
 (** Grants whose persistence/replication has not completed yet. *)
 
 val wait_persisted : t -> unit
 (** Block until every outstanding grant is persisted and replicated. *)
 
-val active_leases : t -> int

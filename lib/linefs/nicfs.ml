@@ -1101,8 +1101,6 @@ let create ?(pipeline_parallelism = true) ?(coalescing = false)
 
 let set_next_hop t nxt = t.next_hop <- nxt
 let set_compression t b = t.compression <- b
-let compression_enabled t = t.compression
-let set_coalescing t b = t.coalescing <- b
 let isolated t = t.is_isolated
 let ping t = t.alive
 let alive t = t.alive
@@ -1320,19 +1318,6 @@ let flush t ~client =
     Cond.await cs.publish_progress
   done;
   Lease.wait_persisted t.lease
-
-(* Pipeline-cursor snapshot for one client — DST triage of wedged
-   scenarios (is the stall in chunking, replication, or publication?). *)
-let debug_client_state t ~client =
-  match Hashtbl.find_opt t.clients client with
-  | None -> "no client state"
-  | Some cs ->
-      Printf.sprintf
-        "log_last=%d fetched=%d replicated=%d published=%d acks=%d \
-         inflight=%d next_repl_idx=%d chunk_count=%d"
-        (Oplog.Log.last_seq cs.log) cs.fetched_seq cs.replicated_seq
-        cs.published_seq (Hashtbl.length cs.acks)
-        (Hashtbl.length cs.inflight) cs.next_repl_idx cs.chunk_count
 
 let replicated_wire_bytes t = t.repl_wire
 let published_bytes t = t.pub_bytes

@@ -47,8 +47,6 @@ val set_next_hop : t -> t option -> unit
     between shards; the daemon itself never looks at placement. *)
 
 val set_compression : t -> bool -> unit
-val compression_enabled : t -> bool
-val set_coalescing : t -> bool -> unit
 
 val start_monitor : t -> unit
 (** Spawn the kernel-worker failure detector (§3.5). *)
@@ -158,11 +156,6 @@ val flush : t -> client:int -> unit
     is replicated and published (benchmark teardown). *)
 
 (** {1 Introspection} *)
-
-val debug_client_state : t -> client:int -> string
-(** One-line snapshot of a client's pipeline cursors (log/fetched/
-    replicated/published seqs, outstanding ack sets) for debugging
-    wedged DST scenarios. *)
 
 val replicated_wire_bytes : t -> int
 (** Bytes this node sent to its chain successor (post-compression). *)

@@ -47,11 +47,26 @@ let current_slot : t option ref Domain.DLS.key =
 
 let current () = !(Domain.DLS.get current_slot)
 
+(* Process-wide tally across every engine, for wall-clock throughput
+   reporting (events per real second) in the bench harness.  Atomic:
+   engines on different domains (sharded runs, parallel bench tasks)
+   all add to it, once per run call rather than once per event, so
+   two domains do not contend for its cache line on every event. *)
+let total_executed = Atomic.make 0
+
+(* Run [f] with [t] as this domain's current engine, and add the events
+   it executes to [total_executed] on the way out, even when [f]
+   raises. *)
 let with_current t f =
   let slot = Domain.DLS.get current_slot in
   let prev = !slot in
+  let executed0 = t.executed in
   slot := Some t;
-  Fun.protect ~finally:(fun () -> slot := prev) f
+  Fun.protect
+    ~finally:(fun () ->
+      slot := prev;
+      ignore (Atomic.fetch_and_add total_executed (t.executed - executed0)))
+    f
 
 module Local = struct
   (* Typed keys into an engine's [locals] table, in the style of
@@ -71,12 +86,6 @@ module Local = struct
   let set (t : t) (k : 'a key) (v : 'a) = Hashtbl.replace t.locals k (Obj.repr v)
   let remove (t : t) (k : 'a key) = Hashtbl.remove t.locals k
 end
-
-(* Process-wide tally across every engine, for wall-clock throughput
-   reporting (events per real second) in the bench harness.  Atomic:
-   engines on different domains (sharded runs, parallel bench tasks)
-   all bump it. *)
-let total_executed = Atomic.make 0
 
 (* ---- per-event-kind wall-clock profile (bench-only; off by default) *)
 
@@ -295,7 +304,6 @@ let exec_event t time ev =
       t.current_name <- ev.name;
       t.current_group <- ev.group;
       t.executed <- t.executed + 1;
-      Atomic.incr total_executed;
       if !prof_enabled then begin
         let w0 = Gc.minor_words () in
         let t0 = !prof_clock () in
@@ -349,6 +357,13 @@ let run_until t ~bound =
   Heap.peek_key t.events
 
 let next_event_time t = Heap.peek_key t.events
+
+(* An emptied heap still holds its last popped event, and [Heap.grow]
+   filled its spare slots with whatever was being pushed, so a drained
+   engine would keep those closures — and through them much of the
+   simulation it ran — alive.  Not done on every drain: a queue that
+   empties every window would reallocate every window. *)
+let release_queue t = if Heap.is_empty t.events then t.events <- Heap.create ()
 
 let fast_forward t ~upto =
   let upto =

@@ -60,7 +60,9 @@ val events_executed : t -> int
 val global_events_executed : unit -> int
 (** Process-wide event tally across all engines ever created — the
     basis for wall-clock events-per-second reporting in benchmarks.
-    Maintained with [Atomic]: safe when engines run on several domains. *)
+    Maintained with [Atomic]: safe when engines run on several domains.
+    Each {!run}/{!run_until} call adds its events when it returns, so
+    read it between runs. *)
 
 (** {1 Per-event-kind wall-clock profiling}
 
@@ -110,6 +112,13 @@ val run_until : t -> bound:Time.t ref -> Time.t option
 
 val next_event_time : t -> Time.t option
 (** Timestamp of the earliest pending event, if any. *)
+
+val release_queue : t -> unit
+(** If no event is pending, drop the event queue's storage, which can
+    still reference events already executed (and everything their
+    closures reach).  The next schedule allocates a fresh queue.  The
+    sharded runner ({!Sharded}) calls this on a component's shards when
+    the component finishes. *)
 
 val fast_forward : t -> upto:Time.t -> unit
 (** Advance the clock to [upto] without executing anything.  No effect

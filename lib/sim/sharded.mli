@@ -1,6 +1,6 @@
 (** Conservative parallel runner: multiple {!Engine} instances (shards)
-    advancing in lookahead-bounded windows, optionally spread over
-    several domains.
+    advancing in lookahead-bounded windows, with independent groups of
+    shards optionally spread over several domains.
 
     Shards interact only through edges declared with {!connect}; a
     cross-shard message ({!send}) is delivered at least the edge's
@@ -18,21 +18,27 @@
     [a + dist k j].  Barriers therefore track cross-shard traffic, not
     elapsed virtual time over the lookahead.
 
+    Shards connected by edges (in either direction) form a
+    {e component}.  Nothing crosses between components, so each runs
+    its own window loop, start to end, on one domain; components are
+    the unit of parallel work.
+
     Lookahead is heterogeneous: each edge may carry its own bound
     (e.g. the physical fabric latency of the link it models), so one
     low-latency edge narrows only its own destination's windows.
 
     {b Determinism contract.}  For a fixed [(seed, shard count, edge
     set, process behaviour)], results are identical for {e every} value
-    of [?domains] — the domain count affects which OS threads execute a
-    window, never what the window computes.  Between windows each
-    shard's outbox is injected into the destination engines, sources
-    in index order and each outbox in send order; a destination's heap
-    runs same-time events in insertion order, so every shard executes
-    its cross-shard messages in the canonical order (delivery time,
-    src, per-edge sequence).  Every window bound above is a function of
-    engine states and the static edge set alone, so the window
-    structure itself is also identical at every domain count.
+    of [?domains] — the domain count affects which OS thread runs a
+    component, never what the component computes.  Between windows
+    each of a component's outboxes is injected into the destination
+    engines, sources in index order and each outbox in send order; a
+    destination's heap runs same-time events in insertion order, so
+    every shard executes its cross-shard messages in the canonical
+    order (delivery time, src, per-edge sequence).  Every window bound
+    above is a function of the component's engine states and the
+    static edge set alone, so the window structure itself is also
+    identical at every domain count.
 
     {b Sharing discipline.}  Processes on different shards must not
     share simulation state (mailboxes, ivars, bandwidth meters …);
@@ -78,52 +84,49 @@ val send :
     the calling shard's window bound (see the adaptive horizon above).
     @raise Invalid_argument if the edge was never {!connect}ed. *)
 
-val run : ?domains:int -> ?grain:int -> t -> unit
-(** Drive every shard to completion.  [domains] (default 1, clamped to
-    the shard count) is the number of OS domains available to execute
-    windows; see the determinism contract above.  Worker domains are
-    created lazily on the first window that engages them and persist
-    for the whole run.
+val run : ?domains:int -> t -> unit
+(** Drive every shard to completion.  [domains] (default 1) is the
+    number of OS domains that run components: the calling domain plus
+    [min domains components - 1] worker domains spawned for this call
+    and joined before it returns.  An atomic index hands out the
+    components, ordered by their smallest shard index; see the
+    determinism contract above.
 
-    [grain] (events, default 96) is the inline threshold: a window
-    whose predicted work — exponential moving averages of events per
-    window and of wall seconds per window (see {!set_clock}) — would
-    not amortize a barrier crossing runs on the coordinator without
-    waking any worker.  On a host reporting a single core
-    ([Domain.recommended_domain_count () = 1]) the pool is never
-    engaged, whatever [domains] says.  [grain <= 0] forces every
-    multi-shard window onto the pool — a test hook for the barrier
-    path.  The prediction influences scheduling only, never results.
+    A shard whose window raises ends its own component after that
+    window; the other components run to their end, so which exception
+    surfaces cannot depend on timing.  Once every worker is joined,
+    the exception of the lowest-indexed failing shard is re-raised.
+    The runner cannot be resumed after that.
 
-    A shard whose window raises ends the run: once every shard of that
-    window has finished and the worker domains are joined, the
-    exception of the lowest-indexed failing shard is re-raised.  The
-    runner cannot be resumed after that. *)
+    When a component finishes, its shards' emptied event queues are
+    released ({!Engine.release_queue}), so a finished component does
+    not keep the closures of its last events alive while others run. *)
 
 val windows_run : t -> int
-(** Number of synchronization windows executed so far (diagnostics). *)
+(** Windows executed so far: per run, the most windows any component
+    ran (diagnostics). *)
 
 (** {1 Cross-shard sync observability} *)
 
 type stats = {
-  windows : int;  (** synchronization windows executed *)
-  parallel_windows : int;  (** windows that engaged the worker pool *)
-  barrier_waits : int;
-      (** coordinator condition-variable waits at round barriers *)
+  windows : int;  (** per run, the most windows any component ran *)
+  parallel_windows : int;  (** components run on a worker domain *)
+  barrier_waits : int;  (** always 0: components never wait on each other *)
   fast_forwards : int;
-      (** idle-shard clock ratchets (the null messages) *)
-  messages : int;  (** cross-shard messages drained *)
-  batch_max : int;  (** most messages drained at one barrier *)
+      (** idle-shard clock ratchets (the null messages), over all
+          components *)
+  messages : int;  (** cross-shard messages drained, over all components *)
+  batch_max : int;  (** most messages one component drained at once *)
   extended_horizons : int;
       (** busy-shard windows run beyond every static promise (adaptive
-          horizon in effect) *)
+          horizon in effect), over all components *)
 }
 
 val stats : t -> stats
 (** Cumulative over the runner's lifetime.  [windows], [fast_forwards],
     [messages], [batch_max] and [extended_horizons] are identical at
-    every domain count; [parallel_windows] and [barrier_waits] depend
-    on [?domains], [?grain] and the machine. *)
+    every domain count; [parallel_windows] depends on [?domains] and
+    on which domain claims which component first. *)
 
 val counters_record : t -> unit
 (** Record the domain-layout-independent subset of {!stats}
@@ -134,6 +137,5 @@ val counters_record : t -> unit
     are unaffected. *)
 
 val set_clock : (unit -> float) -> unit
-(** Install the wall clock used by the inline-vs-parallel policy
-    (e.g. [Unix.gettimeofday]); the default is [Sys.time].  The sim
-    library itself takes no unix dependency. *)
+(** A no-op: the runner has no wall-clock policy.  It stays, with
+    [barrier_waits], until the harnesses that still call it drop it. *)

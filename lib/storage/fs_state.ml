@@ -372,8 +372,3 @@ let copy_file_content ~src ~dst inum =
       d.size <- s.size;
       true
   | _ -> false
-
-let total_mapped_bytes t =
-  Hashtbl.fold
-    (fun _ i acc -> acc + Extent_map.mapped_bytes i.extents)
-    t.inodes 0

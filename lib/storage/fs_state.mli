@@ -109,6 +109,3 @@ val copy_file_content : src:t -> dst:t -> int -> bool
 (** Scrub repair: replace [dst]'s extents for one file with [src]'s
     content (both must know the inum as a file).  Models the re-fetch
     of a corrupt inode from the next chain replica. *)
-
-val total_mapped_bytes : t -> int
-(** Sum of mapped extent bytes over all files. *)

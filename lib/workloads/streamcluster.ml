@@ -22,13 +22,6 @@ let run ?threads ?(iterations = 30) ?(work_per_iter = Time.ms 100)
   done;
   Engine.now () - t0
 
-let solo_estimate ?threads ?(iterations = 30) ?(work_per_iter = Time.ms 100)
-    ~node () =
-  let cores = Hw.Cpu.cores node.Hw.Node.host in
-  let threads = match threads with Some n -> n | None -> cores in
-  let waves = (threads + cores - 1) / cores in
-  iterations * waves * work_per_iter
-
 type background = {
   mutable running : bool;
   mutable rounds : int;

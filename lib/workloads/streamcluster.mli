@@ -19,11 +19,6 @@ val run :
 (** Run to completion; returns elapsed time.  Defaults: one thread per
     host core, 30 iterations, 100 ms of work per thread-iteration. *)
 
-val solo_estimate :
-  ?threads:int -> ?iterations:int -> ?work_per_iter:Time.t ->
-  node:Hw.Node.t -> unit -> Time.t
-(** Ideal (contention-free) runtime for the same parameters. *)
-
 type background
 
 val start_background :

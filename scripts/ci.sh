@@ -17,10 +17,10 @@
 # Finally the multicore smokes: a per-node sharded deployment whose
 # output must be byte-identical at 1 and 4 domains, an 8-node rack of
 # replica groups with cohort clients whose stdout and domain-independent
-# sync stats are byte-identical at 1 and 4 domains, with barriers that
-# demonstrably drain multi-message batches, and a 24-node rack at 2
+# sync stats are byte-identical at 1 and 4 domains, with drains that
+# demonstrably carry multi-message batches, and a 24-node rack at 2
 # domains run three times against 1 domain.  These check correctness
-# of the parallel windows, not speed; host time is hostbench's job.
+# of the parallel components, not speed; host time is hostbench's job.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -58,13 +58,14 @@ echo "sharded-deployment smoke: byte-identical at 1 and 4 domains"
 # 2-user cohorts, domains 1 vs 4, stdout byte-identical.  The stderr
 # sync stats must match too once the two that depend on the domain
 # count (parallel=, barrier-waits=) are dropped: that covers batch-max,
-# the one stat stdout does not carry.  The cohort round-robin also
-# sends several cross-shard messages within one window, so some
-# barrier must drain a multi-message batch (batch-max >= 2).
+# the one stat stdout does not carry.  Each replica group is its own
+# component and drains only its own outboxes; at 512 MB one group's
+# drain carries two messages at once (batch-max >= 2), where at 64 MB
+# every drain carries at most one.
 dune exec bin/linefs_sim.exe -- --nodes 8 --group-size 4 --cohort 2 \
-  --file-mb 64 --domains 1 > _scale_smoke_d1.txt 2> _scale_smoke_d1.err
+  --file-mb 512 --domains 1 > _scale_smoke_d1.txt 2> _scale_smoke_d1.err
 dune exec bin/linefs_sim.exe -- --nodes 8 --group-size 4 --cohort 2 \
-  --file-mb 64 --domains 4 > _scale_smoke_d4.txt 2> _scale_smoke_d4.err
+  --file-mb 512 --domains 4 > _scale_smoke_d4.txt 2> _scale_smoke_d4.err
 cmp _scale_smoke_d1.txt _scale_smoke_d4.txt || {
   echo "FAIL: rack output differs between 1 and 4 domains"
   diff _scale_smoke_d1.txt _scale_smoke_d4.txt || true
@@ -92,9 +93,8 @@ echo "scale smoke: 8-node rack stdout and sync stats byte-identical" \
 
 # ---- 2-domain rack smoke ---------------------------------------------
 # A 24-node rack (6 replica groups of 4, 4-user cohorts) on 2 domains,
-# three times, each byte-identical to 1 domain.  This is the shape that
-# exposed the worker-pool claim race (a pool worker running a shard the
-# coordinator was running inline); the 8-node smoke above never hit it.
+# three times, each byte-identical to 1 domain: six components handed
+# out by the claim index, more than the 8-node smoke above has.
 dune exec bin/linefs_sim.exe -- --nodes 24 --group-size 4 --cohort 4 \
   --file-mb 128 --domains 1 > _rack24_d1.txt
 for run in 1 2 3; do

@@ -73,13 +73,19 @@ let test_params =
 
 (* Run [shards] independent LineFS deployments, one per shard, each
    writing a seed-dependent amount of data, and return the final
-   primary-FS digest of each with the number of windows that ran on
-   the worker pool. *)
-let digests ?grain ~shards ~seed ~domains () =
+   primary-FS digest of each with the number of components that ran on
+   a worker domain.  Above one domain, shard 0 starts only once shard 1
+   has, which only another domain can do, so a worker takes part. *)
+let digests ~shards ~seed ~domains () =
   let sh = Sharded.create ~seed ~shards () in
   let out = Array.make shards None in
+  let shard1_started = Atomic.make false in
   for i = 0 to shards - 1 do
     Sharded.spawn_root sh ~shard:i (fun () ->
+        if i = 1 then Atomic.set shard1_started true;
+        if i = 0 && domains > 1 then
+          Handshake.await ~what:"shard 1" (fun () ->
+              Atomic.get shard1_started);
         let d = Deployment.create ~params:test_params ~nodes:3 () in
         let ops = Libfs.ops (Deployment.add_client d ~id:1) in
         let file_bytes = kib (32 + ((seed + i) mod 7 * 16)) in
@@ -92,24 +98,22 @@ let digests ?grain ~shards ~seed ~domains () =
         Deployment.stop d;
         out.(i) <- Some dg)
   done;
-  Sharded.run ?grain ~domains sh;
+  Sharded.run ~domains sh;
   ( Array.map
       (function Some d -> d | None -> Alcotest.fail "shard did not finish")
       out,
     (Sharded.stats sh).Sharded.parallel_windows )
 
-(* The shards share no edges, so the whole run is one window, which the
-   inline policy would keep on the coordinator; [grain:0] puts it on
-   worker domains. *)
+(* The shards share no edges, so each is its own component. *)
 let prop_digest_domain_independent =
   QCheck.Test.make
     ~name:"fault-free digests identical at domains=1 and domains=4" ~count:4
     QCheck.(int_range 0 1000)
     (fun seed ->
       let d1, _ = digests ~shards:3 ~seed ~domains:1 () in
-      let d4, parallel = digests ~grain:0 ~shards:3 ~seed ~domains:4 () in
+      let d4, parallel = digests ~shards:3 ~seed ~domains:4 () in
       if parallel = 0 then
-        QCheck.Test.fail_report "domains=4 never ran a window on the pool"
+        QCheck.Test.fail_report "domains=4 never ran a component on a worker"
       else d1 = d4)
 
 (* ------------------------------------------------------------------ *)

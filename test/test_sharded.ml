@@ -1,6 +1,6 @@
 (* Tests for the conservative sharded runner: windowing, cross-shard
-   message ordering, and the determinism contract (results independent
-   of the domain count). *)
+   message ordering, components on worker domains, and the determinism
+   contract (results independent of the domain count). *)
 
 open Sim
 
@@ -8,24 +8,28 @@ open Sim
 (* Ping-pong across two shards                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Each side records (round, receive time) only into its own shard's
-   trace — cross-shard shared mutation is exactly what the runner
-   forbids — and the traces are merged after [run]. *)
+(* A ping-pong between shards [a] and [b] of [s].  Each side records
+   (round, receive time) only into its own shard's trace — cross-shard
+   shared mutation is exactly what the runner forbids — and the traces
+   are read after [run]. *)
+let add_ping_pong s ~a ~b ~rounds ~delay traces =
+  Sharded.connect s ~src:a ~dst:b ~lookahead:(Time.us 1);
+  Sharded.connect s ~src:b ~dst:a ~lookahead:(Time.us 1);
+  let rec ping k () =
+    traces.(a) <- (k, Engine.now ()) :: traces.(a);
+    if k < rounds then Sharded.send s ~src:a ~dst:b ~delay ~name:"pong" (pong k)
+  and pong k () =
+    traces.(b) <- (k, Engine.now ()) :: traces.(b);
+    Sharded.send s ~src:b ~dst:a ~delay ~name:"ping" (ping (k + 1))
+  in
+  Sharded.spawn_root s ~shard:a (ping 0)
+
 let ping_pong ~rounds ~delay ~domains =
   let s = Sharded.create ~shards:2 () in
-  Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 1);
-  Sharded.connect s ~src:1 ~dst:0 ~lookahead:(Time.us 1);
-  let trace0 = ref [] and trace1 = ref [] in
-  let rec ping k () =
-    trace0 := (k, Engine.now ()) :: !trace0;
-    if k < rounds then Sharded.send s ~src:0 ~dst:1 ~delay ~name:"pong" (pong k)
-  and pong k () =
-    trace1 := (k, Engine.now ()) :: !trace1;
-    Sharded.send s ~src:1 ~dst:0 ~delay ~name:"ping" (ping (k + 1))
-  in
-  Sharded.spawn_root s ~shard:0 (ping 0);
+  let traces = Array.make 2 [] in
+  add_ping_pong s ~a:0 ~b:1 ~rounds ~delay traces;
   Sharded.run ~domains s;
-  (List.rev !trace0, List.rev !trace1, Sharded.windows_run s)
+  (List.rev traces.(0), List.rev traces.(1), Sharded.windows_run s)
 
 let test_ping_pong_times () =
   let delay = Time.us 7 in
@@ -143,28 +147,42 @@ let test_connect_keeps_first_lookahead () =
 
 let boom = Failure "shard 1 exploded"
 
-(* Shard 1 raises; shard 0 has work on both sides of the failure.  The
-   engine wraps the process exception with the process name, and
-   [run] must hand the original on to its caller and return — inline,
-   and from a worker domain through the pool barrier. *)
-let reraises ?grain ~domains () =
+(* The engine wraps a process exception with the process name, and
+   [run] must hand the original on to its caller and return. *)
+let expect_boom s ~domains =
+  match Sharded.run ~domains s with
+  | () -> Alcotest.fail "expected the shard error to re-raise"
+  | exception Engine.Process_failure (_, e) ->
+      Alcotest.(check bool) "original exception preserved" true (e == boom)
+
+(* Shard 1 raises; shard 0 has work on both sides of the failure. *)
+let test_run_reraises () =
   let s = Sharded.create ~shards:2 () in
   Sharded.spawn_root s ~shard:0 (fun () -> Engine.sleep (Time.ms 5));
   Sharded.spawn_root s ~shard:1 (fun () ->
       Engine.sleep (Time.ms 1);
       raise boom);
-  (match Sharded.run ?grain ~domains s with
-  | () -> Alcotest.fail "expected the shard error to re-raise"
-  | exception Engine.Process_failure (_, e) ->
-      Alcotest.(check bool) "original exception preserved" true (e == boom));
-  s
+  expect_boom s ~domains:1
 
-let test_run_reraises () = ignore (reraises ~domains:1 () : Sharded.t)
-
+(* Two edge-less shards are two components.  Each waits until both
+   have started, so they run at once on different domains; the one on
+   the worker raises, and its exception must reach the caller once the
+   worker is joined. *)
 let test_pool_reraises () =
-  let s = reraises ~grain:0 ~domains:2 () in
-  Alcotest.(check bool) "pool engaged" true
-    ((Sharded.stats s).Sharded.parallel_windows > 0)
+  let s = Sharded.create ~shards:2 () in
+  let caller = Domain.self () in
+  let started = Atomic.make 0 in
+  for shard = 0 to 1 do
+    Sharded.spawn_root s ~shard (fun () ->
+        Atomic.incr started;
+        Handshake.await ~what:"the other component" (fun () ->
+            Atomic.get started = 2);
+        if Domain.self () <> caller then raise boom;
+        Engine.sleep (Time.ms 5))
+  done;
+  expect_boom s ~domains:2;
+  Alcotest.(check int) "one component ran on the worker" 1
+    (Sharded.stats s).Sharded.parallel_windows
 
 (* ------------------------------------------------------------------ *)
 (* Idle shards must not stall a busy-polling peer                      *)
@@ -286,9 +304,11 @@ let test_coalesced_batch_order () =
    in source order, then send order — not in the order they were sent
    in virtual time.  Shard 2 sends first (at 0 us), shard 1 twice a
    microsecond later; all three land on shard 0 at 10 us, drained at
-   one barrier. *)
-let cross_source_trace ?grain ~domains () =
-  let s = Sharded.create ~shards:3 () in
+   once.  With [peer], a fourth, edge-less shard is a second busy
+   component, and shard 2 sends only once that component has started,
+   necessarily on the other domain. *)
+let cross_source_trace ?(peer = false) ~domains () =
+  let s = Sharded.create ~shards:(if peer then 4 else 3) () in
   Sharded.connect s ~src:1 ~dst:0 ~lookahead:(Time.us 1);
   Sharded.connect s ~src:2 ~dst:0 ~lookahead:(Time.us 1);
   let got = ref [] in
@@ -296,84 +316,96 @@ let cross_source_trace ?grain ~domains () =
     Sharded.send s ~src ~dst:0 ~delay:(Time.us 10 - Engine.now ())
       ~name:label (fun () -> got := (label, Engine.now ()) :: !got)
   in
-  Sharded.spawn_root s ~shard:2 (fun () -> send 2 "2a");
+  let peer_started = Atomic.make false in
+  Sharded.spawn_root s ~shard:2 (fun () ->
+      if peer then
+        Handshake.await ~what:"the peer component" (fun () ->
+            Atomic.get peer_started);
+      send 2 "2a");
   Sharded.spawn_root s ~shard:1 (fun () ->
       Engine.sleep (Time.us 1);
       send 1 "1a";
       send 1 "1b");
-  Sharded.run ?grain ~domains s;
+  if peer then
+    Sharded.spawn_root s ~shard:3 (fun () ->
+        Atomic.set peer_started true;
+        Engine.sleep (Time.us 20));
+  Sharded.run ~domains s;
   (List.rev !got, Sharded.stats s)
 
 let test_cross_source_order () =
   List.iter
-    (fun (grain, domains) ->
+    (fun (peer, domains) ->
       let what =
-        Printf.sprintf "domains=%d%s" domains
-          (match grain with Some g -> Printf.sprintf " grain=%d" g | None -> "")
+        Printf.sprintf "domains=%d%s" domains (if peer then " peer" else "")
       in
-      let trace, st = cross_source_trace ?grain ~domains () in
+      let trace, st = cross_source_trace ~peer ~domains () in
       Alcotest.(check (list (pair string int)))
         ("source order, then send order (" ^ what ^ ")")
         [ ("1a", Time.us 10); ("1b", Time.us 10); ("2a", Time.us 10) ]
         trace;
       Alcotest.(check int) ("one batch (" ^ what ^ ")") 3 st.Sharded.batch_max;
-      if grain = Some 0 then
-        Alcotest.(check bool) ("pool engaged (" ^ what ^ ")") true
-          (st.Sharded.parallel_windows > 0))
-    [ (None, 1); (None, 2); (Some 0, 2) ]
+      if peer then
+        Alcotest.(check int) ("worker engaged (" ^ what ^ ")") 1
+          st.Sharded.parallel_windows)
+    [ (false, 1); (false, 2); (true, 2) ]
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool: grain 0 forces every multi-shard window parallel       *)
+(* Components on worker domains                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The inline policy would keep this tiny exchange on the coordinator;
-   [grain:0] forces the pool up, covering the barrier path (claim
-   counter, pending counter, parking) even on a single-core machine —
-   with, per the contract, identical results. *)
+(* Four ping-pong pairs with different round counts and delays: four
+   components.  Above one domain, pair 0 waits until pair 1 has
+   started, which only another domain can do, so a worker runs at
+   least one pair; every trace and the window count must match a
+   single-domain run. *)
+let pairs_run ~domains =
+  let pairs = 4 in
+  let s = Sharded.create ~shards:(2 * pairs) () in
+  let traces = Array.make (2 * pairs) [] in
+  for p = 0 to pairs - 1 do
+    add_ping_pong s ~a:(2 * p) ~b:((2 * p) + 1) ~rounds:(3 + p)
+      ~delay:(Time.us (2 + p)) traces
+  done;
+  let pair1_started = Atomic.make false in
+  Sharded.spawn_root s ~shard:0 (fun () ->
+      if domains > 1 then
+        Handshake.await ~what:"pair 1" (fun () -> Atomic.get pair1_started));
+  Sharded.spawn_root s ~shard:2 (fun () -> Atomic.set pair1_started true);
+  Sharded.run ~domains s;
+  ((Array.map List.rev traces, Sharded.windows_run s), Sharded.stats s)
+
 let test_forced_parallel_pool () =
-  let delay = Time.us 3 in
-  let reference = ping_pong ~rounds:5 ~delay ~domains:1 in
-  let s = Sharded.create ~shards:2 () in
-  Sharded.connect s ~src:0 ~dst:1 ~lookahead:(Time.us 1);
-  Sharded.connect s ~src:1 ~dst:0 ~lookahead:(Time.us 1);
-  let trace0 = ref [] and trace1 = ref [] in
-  let rec ping k () =
-    trace0 := (k, Engine.now ()) :: !trace0;
-    if k < 5 then Sharded.send s ~src:0 ~dst:1 ~delay ~name:"pong" (pong k)
-  and pong k () =
-    trace1 := (k, Engine.now ()) :: !trace1;
-    Sharded.send s ~src:1 ~dst:0 ~delay ~name:"ping" (ping (k + 1))
-  in
-  Sharded.spawn_root s ~shard:0 (ping 0);
-  Sharded.run ~domains:2 ~grain:0 s;
-  let got = (List.rev !trace0, List.rev !trace1, Sharded.windows_run s) in
-  Alcotest.(check bool) "forced-parallel results identical" true
-    (got = reference);
-  Alcotest.(check bool) "pool actually engaged" true
-    ((Sharded.stats s).Sharded.parallel_windows > 0)
+  let reference, _ = pairs_run ~domains:1 in
+  List.iter
+    (fun domains ->
+      let got, st = pairs_run ~domains in
+      Alcotest.(check bool)
+        (Printf.sprintf "domains=%d matches domains=1" domains)
+        true (got = reference);
+      Alcotest.(check bool)
+        (Printf.sprintf "a worker ran a component (domains=%d)" domains)
+        true
+        (st.Sharded.parallel_windows > 0))
+    [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool: a shard never runs on two domains at once              *)
+(* A shard never runs on two domains at once                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Many shards with uneven work at the default grain, shaped so the
-   inline policy flips between pool rounds and inline windows.  Each
-   100 us cycle opens with a burst on every shard (one busy window that
-   lifts the policy's moving averages), then a few lockstep windows on
-   shards 0 and 1 only (pool rounds while the averages decay, with so
-   little work that the coordinator claims both shards before a worker
-   wakes), then one step on every shard (often inline, 24 runnable).
-   A pool worker that wakes late for a finished round draws a claim
-   index that is valid in that inline window; it must never get to run
-   the shard.  Every step asserts its shard is not already executing,
-   and the per-shard step times must match a single-domain run. *)
+(* Twelve disjoint pairs of shards, each pair one component with its
+   own lockstep windows and its own amount of work, so at two domains
+   the claim index hands out many components of uneven length.  Pair 0
+   waits for pair 1 to start, so a worker certainly takes part.  Every
+   step asserts its shard is not already executing, and the per-shard
+   step times must match a single-domain run. *)
 let uneven_pool_run ~domains =
   let shards = 24 in
   let s = Sharded.create ~shards () in
   let lookahead = Time.us 1 in
-  for i = 0 to shards - 1 do
-    Sharded.connect s ~src:i ~dst:((i + 1) mod shards) ~lookahead;
-    Sharded.connect s ~src:((i + 1) mod shards) ~dst:i ~lookahead
+  for p = 0 to (shards / 2) - 1 do
+    Sharded.connect s ~src:(2 * p) ~dst:((2 * p) + 1) ~lookahead;
+    Sharded.connect s ~src:((2 * p) + 1) ~dst:(2 * p) ~lookahead
   done;
   let running = Array.init shards (fun _ -> Atomic.make false) in
   let trace = Array.make shards [] in
@@ -389,34 +421,89 @@ let uneven_pool_run ~domains =
     Atomic.set running.(i) false
   in
   let until t = Engine.sleep (t - Engine.now ()) in
+  let pair1_started = Atomic.make false in
   for i = 0 to shards - 1 do
+    let pair = i / 2 in
     Sharded.spawn_root s ~shard:i (fun () ->
-        for c = 0 to 29 do
+        if i = 2 then Atomic.set pair1_started true;
+        if i = 0 && domains > 1 then
+          Handshake.await ~what:"pair 1" (fun () -> Atomic.get pair1_started);
+        for c = 0 to 4 + (pair * 7 mod 12) do
           let t0 = Time.us (100 * c) in
           until t0;
-          for _ = 1 to 4 + (c * 7 mod 12) do
+          for _ = 1 to 4 + ((c + pair) * 7 mod 12) do
             step i 50;
             Engine.sleep 0
           done;
-          if i < 2 then
-            for k = 1 to 1 + (c mod 4) do
+          if i mod 2 = 0 then
+            for k = 1 to 1 + ((c + pair) mod 4) do
               until (t0 + Time.us (10 + k));
               step i 50
             done;
           until (t0 + Time.us 60);
-          step i 10_000
+          step i (1_000 * (1 + (pair mod 5)))
         done)
   done;
   Sharded.run ~domains s;
-  Array.to_list trace
+  (Array.to_list trace, Sharded.stats s)
 
 let test_pool_never_shares_a_shard () =
-  let reference = uneven_pool_run ~domains:1 in
+  let reference, _ = uneven_pool_run ~domains:1 in
   for _ = 1 to 10 do
-    Alcotest.(check bool)
-      "domains=2 matches domains=1" true
-      (uneven_pool_run ~domains:2 = reference)
+    let got, st = uneven_pool_run ~domains:2 in
+    Alcotest.(check bool) "domains=2 matches domains=1" true (got = reference);
+    Alcotest.(check bool) "a worker ran components" true
+      (st.Sharded.parallel_windows > 0)
   done
+
+(* Two edge-less shards, each waiting until both have started: this
+   only completes if the two components run at the same time, one of
+   them on the worker. *)
+let test_components_run_concurrently () =
+  let s = Sharded.create ~shards:2 () in
+  let started = Atomic.make 0 in
+  for shard = 0 to 1 do
+    Sharded.spawn_root s ~shard (fun () ->
+        Atomic.incr started;
+        Handshake.await ~what:"the other component" (fun () ->
+            Atomic.get started = 2);
+        Engine.sleep (Time.ms (shard + 1)))
+  done;
+  Sharded.run ~domains:2 s;
+  for shard = 0 to 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "shard %d clock" shard)
+      (Time.ms (shard + 1))
+      (Engine.current_time (Sharded.engine s shard))
+  done;
+  Alcotest.(check int) "one component ran on the worker" 1
+    (Sharded.stats s).Sharded.parallel_windows
+
+(* ------------------------------------------------------------------ *)
+(* Finished components release their event queues                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A drained heap keeps its last executed event, and with it whatever
+   that event's closure reaches.  Shard 0's last event starts a process
+   holding [payload]; once [run] returns nothing but that event refers
+   to it, so a full major collection must free it.  The runner itself
+   stays reachable until after the check, or collecting it would free
+   the payload whatever the runner did. *)
+let test_finished_queues_released () =
+  let s = Sharded.create ~shards:2 () in
+  let seen = Weak.create 1 in
+  Sharded.spawn_root s ~shard:0 (fun () ->
+      let payload = Bytes.make 64 'x' in
+      Weak.set seen 0 (Some payload);
+      Engine.spawn ~name:"last" (fun () ->
+          ignore (Sys.opaque_identity payload : Bytes.t)));
+  Sharded.spawn_root s ~shard:1 (fun () -> Engine.sleep (Time.ms 1));
+  Sharded.run s;
+  Gc.full_major ();
+  Alcotest.(check bool) "last event's closure collected" false
+    (Weak.check seen 0);
+  Alcotest.(check int) "runner still reachable" (Time.ms 1)
+    (Engine.current_time (Sharded.engine s 1))
 
 (* ------------------------------------------------------------------ *)
 (* Determinism property on a token ring                                *)
@@ -485,6 +572,8 @@ let () =
             test_pool_never_shares_a_shard;
           tc "same-instant messages run in source order" `Quick
             test_cross_source_order;
+          tc "independent components run concurrently" `Quick
+            test_components_run_concurrently;
         ] );
       ( "errors",
         [
@@ -496,5 +585,10 @@ let () =
           tc "ping-pong identical across domain counts" `Quick
             test_ping_pong_domain_independent;
           qt prop_ring_domain_independent;
+        ] );
+      ( "memory",
+        [
+          tc "finished components release their queues" `Quick
+            test_finished_queues_released;
         ] );
     ]
